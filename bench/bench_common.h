@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -102,14 +103,25 @@ class JsonReport {
   std::map<std::string, double> metrics_;
 };
 
+/// The report path named after the binary: bench_e18_query_service →
+/// BENCH_E18.json, bench_a2_decode_bandwidth → BENCH_A2.json.
+inline std::string DefaultJsonPath(const char* argv0) {
+  std::string name = argv0;
+  name = name.substr(name.find_last_of('/') + 1);
+  if (name.rfind("bench_", 0) == 0) name = name.substr(6);
+  name = name.substr(0, name.find('_'));
+  for (char& c : name) c = static_cast<char>(std::toupper(c));
+  return "BENCH_" + name + ".json";
+}
+
 /// Consumes `--json[=PATH]` from argv before google-benchmark sees it
 /// (benchmark::Initialize rejects flags it does not recognize). PATH
-/// defaults to `default_path`.
-inline void StripJsonFlag(int* argc, char** argv, const char* default_path) {
+/// defaults to DefaultJsonPath(argv[0]).
+inline void StripJsonFlag(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      JsonReport::Instance().Enable(default_path);
+      JsonReport::Instance().Enable(DefaultJsonPath(argv[0]));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       JsonReport::Instance().Enable(argv[i] + 7);
     } else {
@@ -122,11 +134,11 @@ inline void StripJsonFlag(int* argc, char** argv, const char* default_path) {
 }  // namespace recomp::bench
 
 /// Standard main: deterministic tables first, then timing. Accepts
-/// `--json[=PATH]` (default BENCH_A2.json) to dump metrics recorded via
-/// JsonReport during the tables.
+/// `--json[=PATH]` (default: DefaultJsonPath of the binary's name) to dump
+/// metrics recorded via JsonReport during the tables.
 #define RECOMP_BENCH_MAIN(print_tables)                                \
   int main(int argc, char** argv) {                                    \
-    recomp::bench::StripJsonFlag(&argc, argv, "BENCH_A2.json");        \
+    recomp::bench::StripJsonFlag(&argc, argv);                         \
     print_tables();                                                    \
     recomp::bench::JsonReport::Instance().Write();                     \
     benchmark::Initialize(&argc, argv);                                \

@@ -24,16 +24,21 @@ struct Case {
   const char* name;
   SchemeDescriptor descriptor;
   Column<uint32_t> column;
+  exec::Strategy sum_strategy;
+  exec::Strategy extrema_strategy;
 };
 
 std::vector<Case> Cases() {
   std::vector<Case> cases;
   cases.push_back({"RLE over runs", MakeRle(),
-                   gen::SortedRuns(kRows, 64.0, 3, 91)});
+                   gen::SortedRuns(kRows, 64.0, 3, 91),
+                   exec::Strategy::kRleDot, exec::Strategy::kRleDot});
   cases.push_back({"FOR over step levels", MakeFor(1024),
-                   gen::StepLevels(kRows, 1024, 24, 6, 92)});
+                   gen::StepLevels(kRows, 1024, 24, 6, 92),
+                   exec::Strategy::kStepMass, exec::Strategy::kStepMass});
   cases.push_back({"DICT over zipf", MakeDictNs(),
-                   gen::ZipfValues(kRows, 1024, 1.1, 93)});
+                   gen::ZipfValues(kRows, 1024, 1.1, 93),
+                   exec::Strategy::kDictSum, exec::Strategy::kDictExtrema});
   return cases;
 }
 
@@ -54,15 +59,16 @@ void PrintTables() {
     const struct {
       const char* name;
       uint64_t got, want;
-      exec::Strategy strategy;
-    } rows[] = {{"SUM", sum.value, ref_sum, sum.strategy},
-                {"MIN", min.value, ref_min, min.strategy},
-                {"MAX", max.value, ref_max, max.strategy}};
+      exec::Strategy strategy, expected;
+    } rows[] = {{"SUM", sum.value, ref_sum, sum.strategy, c.sum_strategy},
+                {"MIN", min.value, ref_min, min.strategy, c.extrema_strategy},
+                {"MAX", max.value, ref_max, max.strategy, c.extrema_strategy}};
     for (const auto& row : rows) {
+      const bool ok = row.got == row.want && row.strategy == row.expected;
       std::printf("%-22s %-12s %22llu %10s %10s\n", c.name, row.name,
                   static_cast<unsigned long long>(row.got),
-                  exec::StrategyName(row.strategy), row.got == row.want ? "ok" : "FAIL");
-      if (row.got != row.want) std::exit(1);
+                  exec::StrategyName(row.strategy), ok ? "ok" : "FAIL");
+      if (!ok) std::exit(1);
     }
   }
   std::printf(

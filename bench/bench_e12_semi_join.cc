@@ -41,16 +41,17 @@ void PrintTables() {
     const char* name;
     Column<uint32_t> column;
     SchemeDescriptor descriptor;
+    exec::Strategy expected;
   };
   std::vector<Case> cases;
   cases.push_back({"runs / RLE", gen::SortedRuns(kRows, 64.0, 3, 1),
-                   MakeRle()});
+                   MakeRle(), exec::Strategy::kRleRuns});
   cases.push_back({"zipf / DICT-NS", gen::ZipfValues(kRows, 4096, 1.1, 2),
-                   MakeDictNs()});
+                   MakeDictNs(), exec::Strategy::kDictProbe});
   cases.push_back({"steps / FOR", gen::StepLevels(kRows, 1024, 24, 6, 3),
-                   MakeFor(1024)});
+                   MakeFor(1024), exec::Strategy::kStepPruned});
   cases.push_back({"uniform / DELTA-NS (scan)", gen::Uniform(kRows, 1 << 24, 4),
-                   MakeDeltaNs()});
+                   MakeDeltaNs(), exec::Strategy::kDecompressScan});
 
   for (const Case& c : cases) {
     CompressedColumn compressed = MustCompress(AnyColumn(c.column),
@@ -64,6 +65,11 @@ void PrintTables() {
                 result->positions.size(),
                 static_cast<double>(result->probes) /
                     static_cast<double>(kRows));
+    if (result->strategy != c.expected) {
+      std::fprintf(stderr, "FAIL %s: expected strategy %s\n", c.name,
+                   exec::StrategyName(c.expected));
+      std::exit(1);
+    }
   }
   std::printf(
       "\nExpected shape: pushdown probes are orders of magnitude below one "

@@ -41,18 +41,6 @@ CompressedNode CompressedNode::Clone() const {
   return copy;
 }
 
-const AnyColumn* StoredPlainData(const CompressedNode& node) {
-  if (node.scheme.kind != SchemeKind::kId) return nullptr;
-  const auto it = node.parts.find("data");
-  if (it == node.parts.end() || !it->second.is_terminal() ||
-      it->second.column->is_packed() ||
-      it->second.column->type() != node.out_type ||
-      it->second.column->size() != node.n) {
-    return nullptr;
-  }
-  return &*it->second.column;
-}
-
 double CompressedColumn::Ratio() const {
   const uint64_t payload = PayloadBytes();
   if (payload == 0) return 0.0;

@@ -57,9 +57,10 @@ struct CompressedNode {
 /// node is not that shape: wrong scheme, part missing, composed, packed, of
 /// an unexpected type, or of the wrong length (the length check
 /// IdScheme::Decompress would make; a deserialized buffer can claim any n,
-/// and in-place readers must not index past the real data). The exec fast
-/// paths (exec/node_access.h) and the store's recompressor both key on this
-/// one predicate so "stored plain" cannot mean different things per layer.
+/// and in-place readers must not index past the real data). The envelope
+/// view (core/envelope.h) names this shape for the exec fast paths, and the
+/// store's recompressor keys on the same view through this function, so
+/// "stored plain" cannot mean different things per layer.
 const AnyColumn* StoredPlainData(const CompressedNode& node);
 
 /// A whole compressed column.

@@ -2,49 +2,18 @@
 
 #include <algorithm>
 
+#include "core/envelope.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "ops/dispatch.h"
 #include "ops/kernels_avx2.h"
 #include "ops/pack.h"
 #include "schemes/scheme_internal.h"
-#include "util/bits.h"
 #include "util/zigzag.h"
 
 namespace recomp {
 
 namespace {
-
-bool IsTerminalPlain(const CompressedNode& node, const std::string& part) {
-  auto it = node.parts.find(part);
-  return it != node.parts.end() && it->second.is_terminal() &&
-         !it->second.column->is_packed();
-}
-
-bool IsTerminalPacked(const CompressedNode& node, const std::string& part) {
-  auto it = node.parts.find(part);
-  return it != node.parts.end() && it->second.is_terminal() &&
-         it->second.column->is_packed();
-}
-
-const CompressedNode* SubNode(const CompressedNode& node,
-                              const std::string& part) {
-  auto it = node.parts.find(part);
-  if (it == node.parts.end() || it->second.is_terminal()) return nullptr;
-  return it->second.sub.get();
-}
-
-bool IsNsPackedNode(const CompressedNode* node) {
-  return node != nullptr && node->scheme.kind == SchemeKind::kNs &&
-         IsTerminalPacked(*node, "packed");
-}
-
-bool IsPatchedNsNode(const CompressedNode* node) {
-  return node != nullptr && node->scheme.kind == SchemeKind::kPatched &&
-         IsNsPackedNode(SubNode(*node, "base")) &&
-         IsTerminalPlain(*node, "patch_positions") &&
-         IsTerminalPlain(*node, "patch_values");
-}
 
 const SchemeDescriptor* Child(const SchemeDescriptor& desc,
                               const std::string& part) {
@@ -134,56 +103,8 @@ const char* FusedShapeName(FusedShape shape) {
 }
 
 FusedShape ClassifyFusedShape(const CompressedNode& node) {
-  if (!TypeIdIsUnsigned(node.out_type)) return FusedShape::kGeneric;
-
-  if (node.scheme.kind == SchemeKind::kNs &&
-      IsTerminalPacked(node, "packed")) {
-    return FusedShape::kNs;
-  }
-
-  if (node.scheme.kind == SchemeKind::kRpe) {
-    const CompressedNode* positions = SubNode(node, "positions");
-    if (positions != nullptr && positions->scheme.kind == SchemeKind::kDelta) {
-      if (IsTerminalPlain(*positions, "deltas") &&
-          IsTerminalPlain(node, "values")) {
-        return FusedShape::kRle;
-      }
-      // Packed lengths; the values part can be anything decodable — a plain
-      // terminal or a sub-tree the kernel recurses into (covering both
-      // RLE-NS and RLE-DELTA).
-      auto values = node.parts.find("values");
-      const bool values_decodable =
-          values != node.parts.end() &&
-          (values->second.sub != nullptr ||
-           (values->second.is_terminal() &&
-            !values->second.column->is_packed()));
-      if (IsNsPackedNode(SubNode(*positions, "deltas")) && values_decodable) {
-        return FusedShape::kRleNs;
-      }
-    }
-  }
-
-  if (node.scheme.kind == SchemeKind::kModeled &&
-      node.scheme.args.size() == 1 &&
-      node.scheme.args[0].kind == SchemeKind::kStep &&
-      IsTerminalPlain(node, "refs")) {
-    const CompressedNode* residual = SubNode(node, "residual");
-    if (IsNsPackedNode(residual)) return FusedShape::kFor;
-    if (IsPatchedNsNode(residual)) return FusedShape::kPfor;
-  }
-
-  if (IsPatchedNsNode(&node)) return FusedShape::kPatchedNs;
-
-  if (node.scheme.kind == SchemeKind::kDelta) {
-    const CompressedNode* zz = SubNode(node, "deltas");
-    if (zz != nullptr && zz->scheme.kind == SchemeKind::kZigZag) {
-      const CompressedNode* recoded = SubNode(*zz, "recoded");
-      if (IsNsPackedNode(recoded)) return FusedShape::kDeltaZigZagNs;
-      if (IsPatchedNsNode(recoded)) return FusedShape::kDeltaZigZagPatchedNs;
-    }
-  }
-
-  return FusedShape::kGeneric;
+  const Result<EnvelopeView> view = ViewEnvelope(node);
+  return view.ok() ? view->shape : FusedShape::kGeneric;
 }
 
 FusedShape ClassifyFusedDescriptor(const SchemeDescriptor& desc) {
@@ -226,59 +147,17 @@ FusedShape ClassifyFusedDescriptor(const SchemeDescriptor& desc) {
 
 namespace {
 
-/// Validates an NS sub-node exactly the way the reference recursion would
-/// (envelope length, descriptor width, output type, payload size) and hands
-/// back its packed payload for direct kernel consumption.
-template <typename T>
-Result<const PackedColumn*> ValidatedNsPacked(const CompressedNode& ns,
-                                              uint64_t n) {
-  if (ns.out_type != TypeIdOf<T>()) {
-    return Status::Corruption("fused NS part has the wrong type");
-  }
-  const PackedColumn& packed = ns.parts.at("packed").column->packed();
-  if (ns.n != n || packed.n != n) {
-    return Status::Corruption("NS packed length differs from envelope");
-  }
-  if (packed.bit_width != ns.scheme.params.width) {
-    return Status::Corruption("NS packed width differs from descriptor");
-  }
-  if (packed.bit_width > bits::TypeBits<T>()) {
-    return Status::InvalidArgument("cannot unpack width into narrower type");
-  }
-  if (packed.bytes.size() <
-      bits::PackedByteSize(packed.n, packed.bit_width)) {
-    return Status::Corruption("packed payload shorter than declared rows");
-  }
-  return &packed;
-}
-
-/// A terminal plain part, type-checked.
-template <typename T>
-Result<const Column<T>*> PlainPart(const CompressedNode& node,
-                                   const std::string& name) {
-  const AnyColumn& any = *node.parts.at(name).column;
-  if (any.is_packed() || any.type() != TypeIdOf<T>()) {
-    return Status::Corruption("fused part '" + name + "' has the wrong type");
-  }
-  return &any.As<T>();
-}
-
 template <typename T>
 struct PatchList {
   const Column<uint32_t>* positions;
   const Column<T>* values;
 };
 
+/// The view's validated patch lists, typed.
 template <typename T>
-Result<PatchList<T>> GetPatchList(const CompressedNode& patched) {
-  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* positions,
-                          PlainPart<uint32_t>(patched, "patch_positions"));
-  RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
-                          PlainPart<T>(patched, "patch_values"));
-  if (positions->size() != values->size()) {
-    return Status::Corruption("PATCHED patch arity mismatch");
-  }
-  return PatchList<T>{positions, values};
+PatchList<T> Patches(const EnvelopeView& view) {
+  return {&view.patches.positions->As<uint32_t>(),
+          &view.patches.values->As<T>()};
 }
 
 /// Segment-wise FOR reconstruction: out[i] = unpack(i) + refs[i / ell],
@@ -410,23 +289,13 @@ void ScatterPatches(const PatchList<T>& patches, Column<T>* out) {
   }
 }
 
-template <typename T>
-Result<AnyColumn> FusedNs(const CompressedNode& node) {
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<T>(node, node.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<T> out, ops::Unpack<T>(*packed));
-  return AnyColumn(std::move(out));
-}
-
-/// Shared run-expansion tail of the RLE kernels. Reference parity: a zero
-/// length means the positions column was not strictly increasing, and a
-/// uint32 positions column cannot certify n >= 2^32.
+/// Shared run-expansion tail of the RLE kernels (the view checked that
+/// there is one length per value). Reference parity: a zero length means
+/// the positions column was not strictly increasing, and a uint32 positions
+/// column cannot certify n >= 2^32.
 template <typename T>
 Result<AnyColumn> ExpandRuns(const Column<uint32_t>& lengths,
                              const Column<T>& values, uint64_t n) {
-  if (lengths.size() != values.size()) {
-    return Status::Corruption("fused RLE arity mismatch");
-  }
   if (n > uint64_t{0xFFFFFFFF}) {
     return Status::Corruption("RPE last position differs from envelope n");
   }
@@ -445,185 +314,96 @@ Result<AnyColumn> ExpandRuns(const Column<uint32_t>& lengths,
   return AnyColumn(std::move(out));
 }
 
+/// Validates the view's PATCHED exceptions against the unpacked base in
+/// `out`, then writes them over it.
 template <typename T>
-Result<AnyColumn> FusedRle(const CompressedNode& node) {
-  const CompressedNode& positions = *node.parts.at("positions").sub;
-  if (positions.out_type != TypeId::kUInt32) {
-    return Status::Corruption("RPE 'positions' must be a uint32 column");
-  }
-  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* lengths,
-                          PlainPart<uint32_t>(positions, "deltas"));
-  if (lengths->size() != positions.n) {
-    return Status::Corruption("DELTA part length differs from envelope");
-  }
-  RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
-                          PlainPart<T>(node, "values"));
-  return ExpandRuns(*lengths, *values, node.n);
+Status ApplyPatches(const EnvelopeView& view, Column<T>* out) {
+  const PatchList<T> patches = Patches<T>(view);
+  RECOMP_RETURN_NOT_OK(ValidatePatches(
+      patches, view.patches.mask, out->size(),
+      [&](uint32_t pos) { return (*out)[pos]; }));
+  ScatterPatches(patches, out);
+  return Status::OK();
 }
 
+/// The dedicated kernel for the view's shape.
 template <typename T>
-Result<AnyColumn> FusedRleNs(const CompressedNode& node) {
-  const CompressedNode& positions = *node.parts.at("positions").sub;
-  if (positions.out_type != TypeId::kUInt32) {
-    return Status::Corruption("RPE 'positions' must be a uint32 column");
+Result<AnyColumn> FusedKernel(const CompressedNode& node,
+                              const EnvelopeView& view) {
+  const uint64_t n = node.n;
+  switch (view.shape) {
+    case FusedShape::kNs: {
+      RECOMP_ASSIGN_OR_RETURN(Column<T> out, ops::Unpack<T>(*view.packed));
+      return AnyColumn(std::move(out));
+    }
+    case FusedShape::kRle:
+      return ExpandRuns(view.lengths->As<uint32_t>(),
+                        view.runs->values.column->As<T>(), n);
+    case FusedShape::kRleNs: {
+      RECOMP_ASSIGN_OR_RETURN(Column<uint32_t> lengths,
+                              ops::Unpack<uint32_t>(*view.packed));
+      AnyColumn storage;
+      RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
+                              view.runs->values.Read<T>(&storage));
+      return ExpandRuns(lengths, *values, n);
+    }
+    case FusedShape::kFor: {
+      RECOMP_ASSIGN_OR_RETURN(
+          Column<T> out,
+          ForReconstruct(*view.packed, view.refs->As<T>(), view.ell, n));
+      return AnyColumn(std::move(out));
+    }
+    case FusedShape::kPfor: {
+      const Column<T>& refs = view.refs->As<T>();
+      RECOMP_ASSIGN_OR_RETURN(Column<T> out,
+                              ForReconstruct(*view.packed, refs, view.ell, n));
+      // The patch list describes the *residual* (pre-reference) values:
+      // undo the segment reference when validating, re-add it when applying.
+      const PatchList<T> patches = Patches<T>(view);
+      RECOMP_RETURN_NOT_OK(ValidatePatches(
+          patches, view.patches.mask, n, [&](uint32_t pos) {
+            return static_cast<T>(out[pos] - refs[pos / view.ell]);
+          }));
+      const Column<uint32_t>& positions = *patches.positions;
+      const Column<T>& values = *patches.values;
+      for (uint64_t p = 0; p < positions.size(); ++p) {
+        out[positions[p]] =
+            static_cast<T>(refs[positions[p] / view.ell] + values[p]);
+      }
+      return AnyColumn(std::move(out));
+    }
+    case FusedShape::kPatchedNs:
+    case FusedShape::kDeltaZigZagPatchedNs: {
+      RECOMP_ASSIGN_OR_RETURN(Column<T> out, ops::Unpack<T>(*view.packed));
+      RECOMP_RETURN_NOT_OK(ApplyPatches(view, &out));
+      if (view.shape == FusedShape::kDeltaZigZagPatchedNs) {
+        ZigZagPrefixInPlace(&out);
+      }
+      return AnyColumn(std::move(out));
+    }
+    case FusedShape::kDeltaZigZagNs: {
+      RECOMP_ASSIGN_OR_RETURN(Column<T> out,
+                              DeltaZigZagReconstruct<T>(*view.packed, n));
+      return AnyColumn(std::move(out));
+    }
+    case FusedShape::kGeneric:
+      break;
   }
-  const CompressedNode& deltas = *positions.parts.at("deltas").sub;
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<uint32_t>(deltas, positions.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<uint32_t> lengths,
-                          ops::Unpack<uint32_t>(*packed));
-
-  const CompressedPart& values_part = node.parts.at("values");
-  if (values_part.is_terminal()) {
-    RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
-                            PlainPart<T>(node, "values"));
-    return ExpandRuns(lengths, *values, node.n);
-  }
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn values_any,
-                          FusedDecompressNode(*values_part.sub));
-  if (values_any.is_packed() || values_any.type() != TypeIdOf<T>()) {
-    return Status::Corruption("RPE 'values' part has the wrong type");
-  }
-  return ExpandRuns(lengths, values_any.As<T>(), node.n);
-}
-
-template <typename T>
-Result<AnyColumn> FusedFor(const CompressedNode& node) {
-  RECOMP_ASSIGN_OR_RETURN(const Column<T>* refs, PlainPart<T>(node, "refs"));
-  const CompressedNode& residual = *node.parts.at("residual").sub;
-  const uint64_t ell = node.scheme.args[0].params.segment_length;
-  if (ell == 0 || refs->size() != bits::CeilDiv(node.n, ell)) {
-    return Status::Corruption("fused FOR arity mismatch");
-  }
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<T>(residual, node.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<T> out,
-                          ForReconstruct(*packed, *refs, ell, node.n));
-  return AnyColumn(std::move(out));
-}
-
-template <typename T>
-Result<AnyColumn> FusedPfor(const CompressedNode& node) {
-  RECOMP_ASSIGN_OR_RETURN(const Column<T>* refs_ptr,
-                          PlainPart<T>(node, "refs"));
-  const Column<T>& refs = *refs_ptr;
-  const CompressedNode& patched = *node.parts.at("residual").sub;
-  const uint64_t ell = node.scheme.args[0].params.segment_length;
-  if (ell == 0 || refs.size() != bits::CeilDiv(node.n, ell)) {
-    return Status::Corruption("fused FOR arity mismatch");
-  }
-  if (patched.n != node.n) {
-    return Status::Corruption("MODELED residual length differs from envelope");
-  }
-  const CompressedNode& base = *patched.parts.at("base").sub;
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<T>(base, node.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<T> out,
-                          ForReconstruct(*packed, refs, ell, node.n));
-  // The patch list describes the *residual* (pre-reference) values: undo the
-  // segment reference when validating, re-add it when applying.
-  RECOMP_ASSIGN_OR_RETURN(PatchList<T> patches, GetPatchList<T>(patched));
-  const uint64_t mask = bits::LowMask64(patched.scheme.params.width);
-  Status patch_status = ValidatePatches(
-      patches, mask, node.n,
-      [&](uint32_t pos) { return static_cast<T>(out[pos] - refs[pos / ell]); });
-  if (!patch_status.ok()) return patch_status;
-  const Column<uint32_t>& positions = *patches.positions;
-  const Column<T>& values = *patches.values;
-  for (uint64_t p = 0; p < positions.size(); ++p) {
-    out[positions[p]] = static_cast<T>(refs[positions[p] / ell] + values[p]);
-  }
-  return AnyColumn(std::move(out));
-}
-
-template <typename T>
-Result<AnyColumn> FusedPatchedNs(const CompressedNode& node) {
-  const CompressedNode& base = *node.parts.at("base").sub;
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<T>(base, node.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<T> out, ops::Unpack<T>(*packed));
-  RECOMP_ASSIGN_OR_RETURN(PatchList<T> patches, GetPatchList<T>(node));
-  const uint64_t mask = bits::LowMask64(node.scheme.params.width);
-  Status patch_status = ValidatePatches(
-      patches, mask, node.n, [&](uint32_t pos) { return out[pos]; });
-  if (!patch_status.ok()) return patch_status;
-  ScatterPatches(patches, &out);
-  return AnyColumn(std::move(out));
-}
-
-template <typename T>
-Result<AnyColumn> FusedDeltaZigZagNs(const CompressedNode& node) {
-  const CompressedNode& zz = *node.parts.at("deltas").sub;
-  if (zz.n != node.n) {
-    return Status::Corruption("DELTA part length differs from envelope");
-  }
-  const CompressedNode& ns = *zz.parts.at("recoded").sub;
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<T>(ns, node.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<T> out,
-                          DeltaZigZagReconstruct<T>(*packed, node.n));
-  return AnyColumn(std::move(out));
-}
-
-template <typename T>
-Result<AnyColumn> FusedDeltaZigZagPatchedNs(const CompressedNode& node) {
-  const CompressedNode& zz = *node.parts.at("deltas").sub;
-  if (zz.n != node.n) {
-    return Status::Corruption("DELTA part length differs from envelope");
-  }
-  const CompressedNode& patched = *zz.parts.at("recoded").sub;
-  if (patched.out_type != TypeIdOf<T>() || patched.n != node.n) {
-    return Status::Corruption("ZIGZAG recoded part has the wrong type");
-  }
-  const CompressedNode& base = *patched.parts.at("base").sub;
-  RECOMP_ASSIGN_OR_RETURN(const PackedColumn* packed,
-                          ValidatedNsPacked<T>(base, node.n));
-  RECOMP_ASSIGN_OR_RETURN(Column<T> codes, ops::Unpack<T>(*packed));
-  RECOMP_ASSIGN_OR_RETURN(PatchList<T> patches, GetPatchList<T>(patched));
-  const uint64_t mask = bits::LowMask64(patched.scheme.params.width);
-  Status patch_status = ValidatePatches(
-      patches, mask, node.n, [&](uint32_t pos) { return codes[pos]; });
-  if (!patch_status.ok()) return patch_status;
-  ScatterPatches(patches, &codes);
-  ZigZagPrefixInPlace(&codes);
-  return AnyColumn(std::move(codes));
+  return DecompressNode(node);
 }
 
 }  // namespace
 
 Result<AnyColumn> FusedDecompressNode(const CompressedNode& node) {
-  const FusedShape shape = ClassifyFusedShape(node);
-  if (shape == FusedShape::kGeneric) {
-    Result<AnyColumn> decoded = DecompressNode(node);
-    if (decoded.ok() && obs::Enabled()) CountDecode(shape, node);
-    return decoded;
-  }
-  Result<AnyColumn> decoded = internal::DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<AnyColumn> {
-        using T = typename decltype(tag)::type;
-        switch (shape) {
-          case FusedShape::kRle:
-            return FusedRle<T>(node);
-          case FusedShape::kFor:
-            return FusedFor<T>(node);
-          case FusedShape::kDeltaZigZagNs:
-            return FusedDeltaZigZagNs<T>(node);
-          case FusedShape::kNs:
-            return FusedNs<T>(node);
-          case FusedShape::kRleNs:
-            return FusedRleNs<T>(node);
-          case FusedShape::kPatchedNs:
-            return FusedPatchedNs<T>(node);
-          case FusedShape::kPfor:
-            return FusedPfor<T>(node);
-          case FusedShape::kDeltaZigZagPatchedNs:
-            return FusedDeltaZigZagPatchedNs<T>(node);
-          case FusedShape::kGeneric:
-            break;
-        }
-        return DecompressNode(node);
-      });
-  if (decoded.ok() && obs::Enabled()) CountDecode(shape, node);
+  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+  Result<AnyColumn> decoded =
+      view.shape == FusedShape::kGeneric
+          ? DecompressNode(node)
+          : internal::DispatchUnsignedTypeId(
+                node.out_type, [&](auto tag) -> Result<AnyColumn> {
+                  return FusedKernel<typename decltype(tag)::type>(node, view);
+                });
+  if (decoded.ok() && obs::Enabled()) CountDecode(view.shape, node);
   return decoded;
 }
 

@@ -37,7 +37,9 @@ inline constexpr int kNumFusedShapes = 9;
 /// (obs/metrics.h), so cardinality stays bounded by the enum.
 const char* FusedShapeName(FusedShape shape);
 
-/// Classifies which kernel FusedDecompress will use.
+/// Classifies which kernel FusedDecompress will use: the envelope view's
+/// shape (core/envelope.h), or kGeneric for a node the view refuses (no
+/// kernel decodes it; FusedDecompress returns the view's error).
 FusedShape ClassifyFusedShape(const CompressedNode& node);
 
 /// Descriptor-tree analog of ClassifyFusedShape: predicts the kernel a

@@ -63,7 +63,13 @@ Result<AnyColumn> DecompressNode(const CompressedNode& node) {
   DecompressContext ctx;
   ctx.n = node.n;
   ctx.out_type = node.out_type;
-  return scheme->Decompress(parts, node.scheme, ctx);
+  RECOMP_ASSIGN_OR_RETURN(AnyColumn out,
+                          scheme->Decompress(parts, node.scheme, ctx));
+  // Every consumer indexes the result by the envelope's own type and length.
+  if (out.is_packed() || out.type() != node.out_type || out.size() != node.n) {
+    return Status::Corruption("decoded column differs from the envelope");
+  }
+  return out;
 }
 
 Result<CompressedColumn> Compress(const AnyColumn& input,

@@ -121,7 +121,8 @@ class Reader {
 
   Status ReadRaw(void* out, uint64_t bytes) {
     RECOMP_RETURN_NOT_OK(Need(bytes));
-    std::memcpy(out, data_ + pos_, bytes);
+    // An empty column's data() may be null, which memcpy must not see.
+    if (bytes > 0) std::memcpy(out, data_ + pos_, bytes);
     pos_ += bytes;
     return Status::OK();
   }

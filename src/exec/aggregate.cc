@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/fused.h"
-#include "core/pipeline.h"
-#include "exec/node_access.h"
+#include "core/envelope.h"
 #include "exec/scan.h"
 #include "ops/pack.h"
 #include "schemes/scheme_internal.h"
@@ -15,187 +13,116 @@ namespace recomp::exec {
 
 namespace {
 
-using internal::DispatchUnsignedTypeId;
-
-Result<AnyColumn> MaterializePart(const CompressedNode& node,
-                                  const std::string& part) {
-  auto it = node.parts.find(part);
-  if (it == node.parts.end()) {
-    return Status::Corruption("envelope lacks part '" + part + "'");
-  }
-  if (it->second.is_terminal()) return *it->second.column;
-  return FusedDecompressNode(*it->second.sub);
-}
-
-bool IsStepWithPackedResidual(const CompressedNode& node) {
-  if (node.scheme.kind != SchemeKind::kModeled ||
-      node.scheme.args.size() != 1 ||
-      node.scheme.args[0].kind != SchemeKind::kStep) {
-    return false;
-  }
-  auto refs = node.parts.find("refs");
-  auto residual = node.parts.find("residual");
-  if (refs == node.parts.end() || !refs->second.is_terminal() ||
-      refs->second.column->is_packed() || residual == node.parts.end() ||
-      residual->second.is_terminal()) {
-    return false;
-  }
-  const CompressedNode& sub = *residual->second.sub;
-  auto packed = sub.parts.find("packed");
-  return sub.scheme.kind == SchemeKind::kNs && packed != sub.parts.end() &&
-         packed->second.is_terminal() && packed->second.column->is_packed();
-}
-
 enum class Kind { kSum, kMin, kMax };
+
+/// Folds value `v`, standing for `count` rows, into `*acc`.
+void Fold(Kind kind, uint64_t v, uint64_t count, uint64_t* acc) {
+  *acc = kind == Kind::kSum   ? *acc + v * count
+         : kind == Kind::kMin ? std::min(*acc, v)
+                              : std::max(*acc, v);
+}
+
+uint64_t FoldStart(Kind kind) {
+  return kind == Kind::kMin ? ~uint64_t{0} : 0;
+}
 
 /// Folds a plain column, tagging the result with how the values were
 /// obtained: decompressed (fallback) or read in place (ID fast path).
-Result<AggregateResult> AggregateValues(const AnyColumn& data, Kind kind,
-                                        Strategy strategy) {
-  return DispatchUnsignedTypeId(
-      data.type(), [&](auto tag) -> Result<AggregateResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& values = data.As<T>();
-        if (kind != Kind::kSum && values.empty()) {
-          return Status::InvalidArgument("min/max of an empty column");
-        }
-        AggregateResult result;
-        result.strategy = strategy;
-        if (kind == Kind::kSum) {
-          uint64_t acc = 0;
-          for (const T v : values) acc += static_cast<uint64_t>(v);
-          result.value = acc;
-        } else if (kind == Kind::kMin) {
-          result.value = static_cast<uint64_t>(
-              *std::min_element(values.begin(), values.end()));
-        } else {
-          result.value = static_cast<uint64_t>(
-              *std::max_element(values.begin(), values.end()));
-        }
-        return result;
-      });
+template <typename T>
+AggregateResult AggregateValues(const Column<T>& values, Kind kind,
+                                Strategy strategy) {
+  AggregateResult result;
+  result.strategy = strategy;
+  if (kind == Kind::kSum) {
+    uint64_t acc = 0;
+    for (const T v : values) acc += static_cast<uint64_t>(v);
+    result.value = acc;
+  } else if (kind == Kind::kMin) {
+    result.value =
+        static_cast<uint64_t>(*std::min_element(values.begin(), values.end()));
+  } else {
+    result.value =
+        static_cast<uint64_t>(*std::max_element(values.begin(), values.end()));
+  }
+  return result;
 }
 
-Result<AggregateResult> ScanFallback(const CompressedNode& node, Kind kind) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn column, FusedDecompressNode(node));
-  return AggregateValues(column, kind, Strategy::kDecompressScan);
+template <typename T>
+Result<AggregateResult> AggregateRuns(const RunsView& runs, uint64_t n,
+                                      Kind kind) {
+  AnyColumn values_storage, ends_storage;
+  RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
+                          runs.values.Read<T>(&values_storage));
+  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* ends,
+                          runs.ends.Read<uint32_t>(&ends_storage));
+  AggregateResult result;
+  result.strategy = Strategy::kRleDot;
+  result.value = FoldStart(kind);
+  RECOMP_RETURN_NOT_OK(
+      ForEachRun(*values, *ends, n, [&](uint64_t begin, uint64_t end, T v) {
+        Fold(kind, static_cast<uint64_t>(v), end - begin, &result.value);
+      }));
+  return result;
 }
 
-Result<AggregateResult> AggregateRuns(const CompressedNode& node, Kind kind) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn values_any,
-                          MaterializePart(node, "values"));
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn positions_any,
-                          MaterializePart(node, "positions"));
-  const Column<uint32_t>& positions = positions_any.As<uint32_t>();
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<AggregateResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& values = values_any.As<T>();
-        if (kind != Kind::kSum && values.empty()) {
-          return Status::InvalidArgument("min/max of an empty column");
-        }
-        AggregateResult result;
-        result.strategy = Strategy::kRleDot;
-        if (kind == Kind::kSum) {
-          uint64_t acc = 0;
-          uint32_t begin = 0;
-          for (uint64_t r = 0; r < values.size(); ++r) {
-            acc += static_cast<uint64_t>(values[r]) *
-                   static_cast<uint64_t>(positions[r] - begin);
-            begin = positions[r];
-          }
-          result.value = acc;
-        } else if (kind == Kind::kMin) {
-          result.value = static_cast<uint64_t>(
-              *std::min_element(values.begin(), values.end()));
-        } else {
-          result.value = static_cast<uint64_t>(
-              *std::max_element(values.begin(), values.end()));
-        }
-        return result;
-      });
+template <typename T>
+Result<AggregateResult> AggregateStep(const EnvelopeView& view, uint64_t n,
+                                      Kind kind) {
+  const Column<T>& refs = view.refs->As<T>();
+  const uint64_t mask = bits::LowMask64(view.packed->bit_width);
+  AggregateResult result;
+  result.strategy = Strategy::kStepMass;
+  result.value = FoldStart(kind);
+  RECOMP_ASSIGN_OR_RETURN(Column<T> residuals, ops::Unpack<T>(*view.packed));
+  for (uint64_t seg = 0; seg < refs.size(); ++seg) {
+    const uint64_t begin = seg * view.ell;
+    const uint64_t end = std::min<uint64_t>(begin + view.ell, n);
+    const T ref = refs[seg];
+    if (kind == Kind::kSum && !ForWindowWraps<T>(ref, mask)) {
+      // Σ ref·|segment| plus the residual mass.
+      result.value += static_cast<uint64_t>(ref) * (end - begin);
+      for (uint64_t i = begin; i < end; ++i) {
+        result.value += static_cast<uint64_t>(residuals[i]);
+      }
+      continue;
+    }
+    for (uint64_t i = begin; i < end; ++i) {
+      Fold(kind, static_cast<T>(ref + residuals[i]), 1, &result.value);
+    }
+  }
+  return result;
 }
 
-Result<AggregateResult> AggregateStep(const CompressedNode& node, Kind kind) {
-  const CompressedNode& residual_node = *node.parts.at("residual").sub;
-  const PackedColumn& packed =
-      residual_node.parts.at("packed").column->packed();
-  const uint64_t ell = node.scheme.args[0].params.segment_length;
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<AggregateResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& refs = node.parts.at("refs").column->As<T>();
-        if (kind != Kind::kSum && node.n == 0) {
-          return Status::InvalidArgument("min/max of an empty column");
-        }
-        AggregateResult result;
-        result.strategy = Strategy::kStepMass;
-        RECOMP_ASSIGN_OR_RETURN(Column<T> residuals, ops::Unpack<T>(packed));
-        if (kind == Kind::kSum) {
-          uint64_t acc = 0;
-          for (uint64_t seg = 0; seg < refs.size(); ++seg) {
-            const uint64_t begin = seg * ell;
-            const uint64_t end = std::min<uint64_t>(begin + ell, node.n);
-            acc += static_cast<uint64_t>(refs[seg]) * (end - begin);
-          }
-          for (const T r : residuals) acc += static_cast<uint64_t>(r);
-          result.value = acc;
-        } else {
-          uint64_t best = kind == Kind::kMin ? ~uint64_t{0} : 0;
-          for (uint64_t seg = 0; seg < refs.size(); ++seg) {
-            const uint64_t begin = seg * ell;
-            const uint64_t end = std::min<uint64_t>(begin + ell, node.n);
-            for (uint64_t i = begin; i < end; ++i) {
-              const uint64_t v = static_cast<uint64_t>(refs[seg]) +
-                                 static_cast<uint64_t>(residuals[i]);
-              best = kind == Kind::kMin ? std::min(best, v)
-                                        : std::max(best, v);
-            }
-          }
-          result.value = best;
-        }
-        return result;
-      });
-}
-
-Result<AggregateResult> AggregateDict(const CompressedNode& node, Kind kind) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn dict_any,
-                          MaterializePart(node, "dictionary"));
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn codes_any, MaterializePart(node, "codes"));
-  const Column<uint32_t>& codes = codes_any.As<uint32_t>();
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<AggregateResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& dict = dict_any.As<T>();
-        if (kind != Kind::kSum && codes.empty()) {
-          return Status::InvalidArgument("min/max of an empty column");
-        }
-        AggregateResult result;
-        result.strategy = Strategy::kDictExtrema;
-        if (kind == Kind::kSum) {
-          uint64_t acc = 0;
-          for (const uint32_t c : codes) {
-            if (c >= dict.size()) {
-              return Status::Corruption("DICT code exceeds dictionary");
-            }
-            acc += static_cast<uint64_t>(dict[c]);
-          }
-          result.value = acc;
-          result.strategy = Strategy::kDictSum;
-        } else {
-          // The dictionary is sorted: extrema of codes give extrema of
-          // values without touching the dictionary per row.
-          const uint32_t code =
-              kind == Kind::kMin
-                  ? *std::min_element(codes.begin(), codes.end())
-                  : *std::max_element(codes.begin(), codes.end());
-          if (code >= dict.size()) {
-            return Status::Corruption("DICT code exceeds dictionary");
-          }
-          result.value = static_cast<uint64_t>(dict[code]);
-        }
-        return result;
-      });
+template <typename T>
+Result<AggregateResult> AggregateDict(const DictView& dict, Kind kind) {
+  AnyColumn dict_storage, codes_storage;
+  RECOMP_ASSIGN_OR_RETURN(const Column<T>* dictionary,
+                          dict.dictionary.Read<T>(&dict_storage));
+  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* codes,
+                          dict.codes.Read<uint32_t>(&codes_storage));
+  RECOMP_RETURN_NOT_OK(CheckDictionaryOrder(*dictionary));
+  AggregateResult result;
+  if (kind == Kind::kSum) {
+    result.strategy = Strategy::kDictSum;
+    for (const uint32_t c : *codes) {
+      if (c >= dictionary->size()) {
+        return Status::Corruption("DICT code exceeds dictionary");
+      }
+      result.value += static_cast<uint64_t>((*dictionary)[c]);
+    }
+    return result;
+  }
+  // The dictionary is sorted: extrema of codes give extrema of values
+  // without touching the dictionary per row (the largest code bounds all).
+  result.strategy = Strategy::kDictExtrema;
+  const auto [min_code, max_code] =
+      std::minmax_element(codes->begin(), codes->end());
+  if (*max_code >= dictionary->size()) {
+    return Status::Corruption("DICT code exceeds dictionary");
+  }
+  result.value = static_cast<uint64_t>(
+      (*dictionary)[kind == Kind::kMin ? *min_code : *max_code]);
+  return result;
 }
 
 Result<AggregateResult> AggregateCompressed(const CompressedColumn& compressed,
@@ -205,24 +132,29 @@ Result<AggregateResult> AggregateCompressed(const CompressedColumn& compressed,
     return Status::InvalidArgument(
         "compressed aggregation requires an unsigned column");
   }
-  switch (node.scheme.kind) {
-    case SchemeKind::kRpe:
-      return AggregateRuns(node, kind);
-    case SchemeKind::kDict:
-      return AggregateDict(node, kind);
-    case SchemeKind::kModeled:
-      if (IsStepWithPackedResidual(node)) return AggregateStep(node, kind);
-      return ScanFallback(node, kind);
-    case SchemeKind::kId:
-      // Terminal plain data (the streaming store's uncompressed tail
-      // chunks): aggregate in place, no decompress copy.
-      if (const AnyColumn* data = PlainIdData(node)) {
-        return AggregateValues(*data, kind, Strategy::kPlainScan);
-      }
-      return ScanFallback(node, kind);
-    default:
-      return ScanFallback(node, kind);
+  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+  if (kind != Kind::kSum && node.n == 0) {
+    return Status::InvalidArgument("min/max of an empty column");
   }
+  return internal::DispatchUnsignedTypeId(
+      node.out_type, [&](auto tag) -> Result<AggregateResult> {
+        using T = typename decltype(tag)::type;
+        if (view.runs) return AggregateRuns<T>(*view.runs, node.n, kind);
+        if (view.dict) return AggregateDict<T>(*view.dict, kind);
+        if (view.shape == FusedShape::kFor) {
+          return AggregateStep<T>(view, node.n, kind);
+        }
+        // Terminal plain data (the streaming store's uncompressed tail
+        // chunks): aggregate in place, no decompress copy.
+        if (view.stored_plain != nullptr) {
+          return AggregateValues(view.stored_plain->As<T>(), kind,
+                                 Strategy::kPlainScan);
+        }
+        RECOMP_ASSIGN_OR_RETURN(const AnyColumn column,
+                                FusedDecompressNode(node));
+        return AggregateValues(column.As<T>(), kind,
+                               Strategy::kDecompressScan);
+      });
 }
 
 }  // namespace

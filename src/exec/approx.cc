@@ -2,84 +2,54 @@
 
 #include <algorithm>
 
+#include "core/envelope.h"
 #include "ops/pack.h"
 #include "schemes/scheme_internal.h"
 #include "util/bits.h"
 
 namespace recomp::exec {
 
-namespace {
-
-struct StepView {
-  const CompressedNode* node = nullptr;
-  const PackedColumn* packed = nullptr;
-  uint64_t ell = 0;
-};
-
-Result<StepView> ViewStep(const CompressedColumn& compressed) {
-  const CompressedNode& node = compressed.root();
-  if (node.scheme.kind != SchemeKind::kModeled ||
-      node.scheme.args.size() != 1 ||
-      node.scheme.args[0].kind != SchemeKind::kStep) {
-    return Status::InvalidArgument(
-        "approximate answering requires a MODELED(STEP) envelope");
-  }
-  auto refs = node.parts.find("refs");
-  auto residual = node.parts.find("residual");
-  if (refs == node.parts.end() || !refs->second.is_terminal() ||
-      residual == node.parts.end() || residual->second.is_terminal() ||
-      residual->second.sub->scheme.kind != SchemeKind::kNs) {
-    return Status::InvalidArgument(
-        "approximate answering requires refs + NS residual parts");
-  }
-  auto packed = residual->second.sub->parts.find("packed");
-  if (packed == residual->second.sub->parts.end() ||
-      !packed->second.is_terminal() || !packed->second.column->is_packed()) {
-    return Status::InvalidArgument("NS residual lacks its packed part");
-  }
-  StepView view;
-  view.node = &node;
-  view.packed = &packed->second.column->packed();
-  view.ell = node.scheme.args[0].params.segment_length;
-  if (view.ell == 0) return Status::Corruption("model lacks segment length");
-  return view;
-}
-
-}  // namespace
-
 Result<ApproxSum> RefineSum(const CompressedColumn& compressed,
                             uint64_t refined_segments) {
-  RECOMP_ASSIGN_OR_RETURN(StepView view, ViewStep(compressed));
+  const CompressedNode& node = compressed.root();
+  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+  if (view.shape != FusedShape::kFor) {
+    return Status::InvalidArgument(
+        "approximate answering requires a MODELED(STEP){residual: NS} "
+        "envelope");
+  }
   const uint64_t mask = bits::LowMask64(view.packed->bit_width);
   return internal::DispatchUnsignedTypeId(
-      view.node->out_type, [&](auto tag) -> Result<ApproxSum> {
+      node.out_type, [&](auto tag) -> Result<ApproxSum> {
         using T = typename decltype(tag)::type;
-        const Column<T>& refs = view.node->parts.at("refs").column->As<T>();
+        const Column<T>& refs = view.refs->As<T>();
         ApproxSum result;
         result.total_segments = refs.size();
         result.refined_segments = std::min(refined_segments, refs.size());
 
         uint64_t lower = 0;
         uint64_t upper = 0;
-        Column<T> buffer(view.ell);
+        // Sized by rows: ell is input.
+        Column<T> buffer(std::min(view.ell, node.n));
         for (uint64_t seg = 0; seg < refs.size(); ++seg) {
           const uint64_t begin = seg * view.ell;
-          const uint64_t end =
-              std::min<uint64_t>(begin + view.ell, view.node->n);
+          const uint64_t end = std::min<uint64_t>(begin + view.ell, node.n);
           const uint64_t len = end - begin;
-          const uint64_t base = static_cast<uint64_t>(refs[seg]) * len;
+          const T ref = refs[seg];
           if (seg < result.refined_segments) {
             RECOMP_RETURN_NOT_OK(
                 ops::UnpackRange(*view.packed, begin, end, buffer.data()));
-            uint64_t residual_mass = 0;
+            uint64_t mass = 0;
             for (uint64_t i = 0; i < len; ++i) {
-              residual_mass += static_cast<uint64_t>(buffer[i]);
+              mass += static_cast<T>(ref + buffer[i]);
             }
-            lower += base + residual_mass;
-            upper += base + residual_mass;
+            lower += mass;
+            upper += mass;
+          } else if (ForWindowWraps<T>(ref, mask)) {
+            upper += static_cast<uint64_t>(std::numeric_limits<T>::max()) * len;
           } else {
-            lower += base;
-            upper += base + mask * len;
+            lower += static_cast<uint64_t>(ref) * len;
+            upper += (static_cast<uint64_t>(ref) + mask) * len;
           }
         }
         result.lower = lower;

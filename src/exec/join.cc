@@ -1,9 +1,9 @@
 #include "exec/join.h"
 
 #include <algorithm>
+#include <vector>
 
-#include "core/fused.h"
-#include "core/pipeline.h"
+#include "core/envelope.h"
 #include "ops/pack.h"
 #include "schemes/scheme_internal.h"
 #include "util/bits.h"
@@ -11,8 +11,6 @@
 namespace recomp::exec {
 
 namespace {
-
-using internal::DispatchUnsignedTypeId;
 
 bool KeySetContains(const Column<uint64_t>& keys, uint64_t value) {
   return std::binary_search(keys.begin(), keys.end(), value);
@@ -24,143 +22,98 @@ bool KeySetIntersects(const Column<uint64_t>& keys, uint64_t lo, uint64_t hi) {
   return it != keys.end() && *it <= hi;
 }
 
-Result<AnyColumn> MaterializePart(const CompressedNode& node,
-                                  const std::string& part) {
-  auto it = node.parts.find(part);
-  if (it == node.parts.end()) {
-    return Status::Corruption("envelope lacks part '" + part + "'");
-  }
-  if (it->second.is_terminal()) return *it->second.column;
-  return FusedDecompressNode(*it->second.sub);
-}
-
-Result<SemiJoinResult> JoinRuns(const CompressedNode& node,
+template <typename T>
+Result<SemiJoinResult> JoinRuns(const RunsView& runs, uint64_t n,
                                 const Column<uint64_t>& keys) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn values_any,
-                          MaterializePart(node, "values"));
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn positions_any,
-                          MaterializePart(node, "positions"));
-  const Column<uint32_t>& positions = positions_any.As<uint32_t>();
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SemiJoinResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& values = values_any.As<T>();
-        SemiJoinResult result;
-        result.strategy = Strategy::kRleRuns;
-        result.probes = values.size();
-        uint32_t begin = 0;
-        for (uint64_t r = 0; r < values.size(); ++r) {
-          const uint32_t end = positions[r];
-          if (KeySetContains(keys, static_cast<uint64_t>(values[r]))) {
-            for (uint32_t i = begin; i < end; ++i) {
-              result.positions.push_back(i);
-            }
-          }
-          begin = end;
+  AnyColumn values_storage, ends_storage;
+  RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
+                          runs.values.Read<T>(&values_storage));
+  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* ends,
+                          runs.ends.Read<uint32_t>(&ends_storage));
+  SemiJoinResult result;
+  result.strategy = Strategy::kRleRuns;
+  result.probes = values->size();
+  RECOMP_RETURN_NOT_OK(
+      ForEachRun(*values, *ends, n, [&](uint64_t begin, uint64_t end, T v) {
+        if (!KeySetContains(keys, static_cast<uint64_t>(v))) return;
+        for (uint64_t i = begin; i < end; ++i) {
+          result.positions.push_back(static_cast<uint32_t>(i));
         }
-        return result;
-      });
+      }));
+  return result;
 }
 
-Result<SemiJoinResult> JoinDict(const CompressedNode& node,
+template <typename T>
+Result<SemiJoinResult> JoinDict(const DictView& dict,
                                 const Column<uint64_t>& keys) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn dict_any,
-                          MaterializePart(node, "dictionary"));
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn codes_any, MaterializePart(node, "codes"));
-  const Column<uint32_t>& codes = codes_any.As<uint32_t>();
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SemiJoinResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& dict = dict_any.As<T>();
-        SemiJoinResult result;
-        result.strategy = Strategy::kDictProbe;
-        result.probes = dict.size();
-        // One probe per dictionary entry, not per row.
-        std::vector<bool> qualifies(dict.size());
-        bool any = false;
-        for (uint64_t d = 0; d < dict.size(); ++d) {
-          qualifies[d] = KeySetContains(keys, static_cast<uint64_t>(dict[d]));
-          any |= qualifies[d];
-        }
-        if (!any) return result;
-        for (uint64_t i = 0; i < codes.size(); ++i) {
-          if (codes[i] < qualifies.size() && qualifies[codes[i]]) {
-            result.positions.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return result;
-      });
+  AnyColumn dict_storage, codes_storage;
+  RECOMP_ASSIGN_OR_RETURN(const Column<T>* dictionary,
+                          dict.dictionary.Read<T>(&dict_storage));
+  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* codes,
+                          dict.codes.Read<uint32_t>(&codes_storage));
+  RECOMP_RETURN_NOT_OK(CheckDictionaryOrder(*dictionary));
+  SemiJoinResult result;
+  result.strategy = Strategy::kDictProbe;
+  result.probes = dictionary->size();
+  // One probe per dictionary entry, not per row.
+  std::vector<bool> qualifies(dictionary->size());
+  for (uint64_t d = 0; d < dictionary->size(); ++d) {
+    qualifies[d] =
+        KeySetContains(keys, static_cast<uint64_t>((*dictionary)[d]));
+  }
+  for (uint64_t i = 0; i < codes->size(); ++i) {
+    const uint32_t code = (*codes)[i];
+    if (code >= qualifies.size()) {
+      return Status::Corruption("DICT code exceeds dictionary");
+    }
+    if (qualifies[code]) result.positions.push_back(static_cast<uint32_t>(i));
+  }
+  return result;
 }
 
-bool IsStepPrunable(const CompressedNode& node) {
-  if (node.scheme.kind != SchemeKind::kModeled ||
-      node.scheme.args.size() != 1 ||
-      node.scheme.args[0].kind != SchemeKind::kStep) {
-    return false;
-  }
-  auto refs = node.parts.find("refs");
-  auto residual = node.parts.find("residual");
-  if (refs == node.parts.end() || !refs->second.is_terminal() ||
-      refs->second.column->is_packed() || residual == node.parts.end() ||
-      residual->second.is_terminal() ||
-      residual->second.sub->scheme.kind != SchemeKind::kNs) {
-    return false;
-  }
-  auto packed = residual->second.sub->parts.find("packed");
-  return packed != residual->second.sub->parts.end() &&
-         packed->second.is_terminal() && packed->second.column->is_packed();
-}
-
-Result<SemiJoinResult> JoinStepPruned(const CompressedNode& node,
+template <typename T>
+Result<SemiJoinResult> JoinStepPruned(const EnvelopeView& view, uint64_t n,
                                       const Column<uint64_t>& keys) {
-  const PackedColumn& packed =
-      node.parts.at("residual").sub->parts.at("packed").column->packed();
-  const uint64_t ell = node.scheme.args[0].params.segment_length;
+  const PackedColumn& packed = *view.packed;
+  const Column<T>& refs = view.refs->As<T>();
   const uint64_t mask = bits::LowMask64(packed.bit_width);
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SemiJoinResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& refs = node.parts.at("refs").column->As<T>();
-        SemiJoinResult result;
-        result.strategy = Strategy::kStepPruned;
-        Column<T> buffer(ell);
-        for (uint64_t seg = 0; seg < refs.size(); ++seg) {
-          const uint64_t begin = seg * ell;
-          const uint64_t end = std::min<uint64_t>(begin + ell, node.n);
-          const uint64_t lo = static_cast<uint64_t>(refs[seg]);
-          const uint64_t hi = lo + std::min<uint64_t>(mask, ~uint64_t{0} - lo);
-          if (!KeySetIntersects(keys, lo, hi)) continue;  // Segment skipped.
-          RECOMP_RETURN_NOT_OK(
-              ops::UnpackRange(packed, begin, end, buffer.data()));
-          result.probes += end - begin;
-          for (uint64_t i = begin; i < end; ++i) {
-            const uint64_t v = lo + static_cast<uint64_t>(buffer[i - begin]);
-            if (KeySetContains(keys, v)) {
-              result.positions.push_back(static_cast<uint32_t>(i));
-            }
-          }
-        }
-        return result;
-      });
+  SemiJoinResult result;
+  result.strategy = Strategy::kStepPruned;
+  Column<T> buffer(std::min(view.ell, n));  // Sized by rows: ell is input.
+  for (uint64_t seg = 0; seg < refs.size(); ++seg) {
+    const uint64_t begin = seg * view.ell;
+    const uint64_t end = std::min<uint64_t>(begin + view.ell, n);
+    const T ref = refs[seg];
+    const uint64_t lo = static_cast<uint64_t>(ref);
+    if (!ForWindowWraps<T>(lo, mask) &&
+        !KeySetIntersects(keys, lo, lo + mask)) {
+      continue;  // Segment skipped.
+    }
+    RECOMP_RETURN_NOT_OK(ops::UnpackRange(packed, begin, end, buffer.data()));
+    result.probes += end - begin;
+    for (uint64_t i = begin; i < end; ++i) {
+      const T v = static_cast<T>(ref + buffer[i - begin]);
+      if (KeySetContains(keys, static_cast<uint64_t>(v))) {
+        result.positions.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+  return result;
 }
 
-Result<SemiJoinResult> JoinScan(const CompressedNode& node,
-                                const Column<uint64_t>& keys) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn column, FusedDecompressNode(node));
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SemiJoinResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& values = column.As<T>();
-        SemiJoinResult result;
-        result.strategy = Strategy::kDecompressScan;
-        result.probes = values.size();
-        for (uint64_t i = 0; i < values.size(); ++i) {
-          if (KeySetContains(keys, static_cast<uint64_t>(values[i]))) {
-            result.positions.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return result;
-      });
+SemiJoinResult JoinValues(const AnyColumn& column,
+                          const Column<uint64_t>& keys) {
+  SemiJoinResult result;
+  result.strategy = Strategy::kDecompressScan;
+  result.probes = column.size();
+  column.VisitPlain([&](const auto& values) {
+    for (uint64_t i = 0; i < values.size(); ++i) {
+      if (KeySetContains(keys, static_cast<uint64_t>(values[i]))) {
+        result.positions.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  });
+  return result;
 }
 
 }  // namespace
@@ -180,17 +133,18 @@ Result<SemiJoinResult> SemiJoinCompressed(const CompressedColumn& compressed,
   if (!TypeIdIsUnsigned(node.out_type)) {
     return Status::InvalidArgument("semi-join requires an unsigned column");
   }
-  switch (node.scheme.kind) {
-    case SchemeKind::kRpe:
-      return JoinRuns(node, sorted_keys);
-    case SchemeKind::kDict:
-      return JoinDict(node, sorted_keys);
-    case SchemeKind::kModeled:
-      if (IsStepPrunable(node)) return JoinStepPruned(node, sorted_keys);
-      return JoinScan(node, sorted_keys);
-    default:
-      return JoinScan(node, sorted_keys);
+  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+  if (view.runs || view.dict || view.shape == FusedShape::kFor) {
+    return internal::DispatchUnsignedTypeId(
+        node.out_type, [&](auto tag) -> Result<SemiJoinResult> {
+          using T = typename decltype(tag)::type;
+          if (view.runs) return JoinRuns<T>(*view.runs, node.n, sorted_keys);
+          if (view.dict) return JoinDict<T>(*view.dict, sorted_keys);
+          return JoinStepPruned<T>(view, node.n, sorted_keys);
+        });
   }
+  RECOMP_ASSIGN_OR_RETURN(const AnyColumn column, FusedDecompressNode(node));
+  return JoinValues(column, sorted_keys);
 }
 
 }  // namespace recomp::exec

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
-#include "core/fused.h"
-#include "core/pipeline.h"
-#include "exec/node_access.h"
+#include "core/envelope.h"
 #include "ops/pack.h"
 #include "schemes/scheme_internal.h"
 
@@ -14,167 +11,116 @@ namespace recomp::exec {
 
 namespace {
 
-using internal::DispatchUnsignedTypeId;
-
-/// Terminal plain part, or nullptr.
-const AnyColumn* TerminalPart(const CompressedNode& node,
-                              const std::string& name) {
-  auto it = node.parts.find(name);
-  if (it == node.parts.end() || !it->second.is_terminal()) return nullptr;
-  return &*it->second.column;
-}
-
-/// Terminal packed part under an NS sub-node, or nullptr.
-const PackedColumn* NsPackedPart(const CompressedNode& node,
-                                 const std::string& name) {
-  auto it = node.parts.find(name);
-  if (it == node.parts.end() || it->second.is_terminal()) return nullptr;
-  const CompressedNode& sub = *it->second.sub;
-  if (sub.scheme.kind != SchemeKind::kNs) return nullptr;
-  auto packed = sub.parts.find("packed");
-  if (packed == sub.parts.end() || !packed->second.is_terminal() ||
-      !packed->second.column->is_packed()) {
-    return nullptr;
-  }
-  return &packed->second.column->packed();
-}
-
+/// One envelope's direct access path, resolved once from its view: O(1) or
+/// O(log runs) per row. `strategy` stays kDecompressScan when the shape has
+/// none (sequential dependencies, composed parts).
 template <typename T>
-uint64_t PlainAt(const AnyColumn& column, uint64_t row) {
-  return static_cast<uint64_t>(column.As<T>()[row]);
-}
-
-Result<PointResult> Fallback(const CompressedNode& node, uint64_t row) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn column, FusedDecompressNode(node));
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<PointResult> {
-        using T = typename decltype(tag)::type;
-        PointResult result;
-        result.strategy = Strategy::kDecompressScan;
-        result.value = PlainAt<T>(column, row);
-        return result;
-      });
-}
-
-/// The O(1)/O(log runs) access path for `row`, or nullopt when the shape
-/// has none (sequential dependencies, composed parts): the caller decides
-/// whether to fall back per row (GetAt) or to decompress the whole chunk
-/// once for a batch of rows (GetAtBatch).
-Result<std::optional<PointResult>> TryDirectAt(const CompressedColumn& compressed,
-                                               uint64_t row) {
-  const CompressedNode& node = compressed.root();
-  if (row >= node.n) {
-    return Status::OutOfRange("point access past the end of the column");
+struct DirectReader {
+  explicit DirectReader(const EnvelopeView& v) : view(v) {
+    if (view.stored_plain != nullptr) {
+      strategy = Strategy::kPlainScan;
+    } else if (view.shape == FusedShape::kNs) {
+      strategy = Strategy::kNsDirect;
+    } else if (view.shape == FusedShape::kFor) {
+      strategy = Strategy::kForDirect;
+    } else if (view.runs && view.runs->values.column != nullptr &&
+               view.runs->ends.column != nullptr) {
+      strategy = Strategy::kRpeBinarySearch;
+    } else if (view.dict && view.dict->dictionary.column != nullptr &&
+               (view.dict->codes.column != nullptr ||
+                view.dict->packed_codes != nullptr)) {
+      strategy = Strategy::kDictProbe;
+    }
   }
+
+  /// Row `row` (< n) through the direct path.
+  Result<uint64_t> At(uint64_t row) const {
+    switch (strategy) {
+      case Strategy::kPlainScan:
+        return static_cast<uint64_t>(view.stored_plain->As<T>()[row]);
+      case Strategy::kNsDirect:
+        return static_cast<uint64_t>(ops::UnpackOne<T>(*view.packed, row));
+      case Strategy::kForDirect:
+        return static_cast<uint64_t>(static_cast<T>(
+            view.refs->As<T>()[row / view.ell] +
+            ops::UnpackOne<T>(*view.packed, row)));
+      case Strategy::kRpeBinarySearch: {
+        // Exclusive run ends are sorted: the row's run is the first end
+        // strictly greater than `row`.
+        const Column<uint32_t>& ends = view.runs->ends.column->As<uint32_t>();
+        const uint64_t run =
+            std::upper_bound(ends.begin(), ends.end(),
+                             static_cast<uint32_t>(row)) -
+            ends.begin();
+        if (run >= ends.size()) {
+          return Status::Corruption("RPE positions end before the row");
+        }
+        return static_cast<uint64_t>(view.runs->values.column->As<T>()[run]);
+      }
+      case Strategy::kDictProbe: {
+        const DictView& dict = *view.dict;
+        const Column<T>& dictionary = dict.dictionary.column->As<T>();
+        const uint32_t code =
+            dict.codes.column != nullptr
+                ? dict.codes.column->As<uint32_t>()[row]
+                : ops::UnpackOne<uint32_t>(*dict.packed_codes, row);
+        if (code >= dictionary.size()) {
+          return Status::Corruption("DICT code exceeds dictionary");
+        }
+        return static_cast<uint64_t>(dictionary[code]);
+      }
+      default:
+        return Status::InvalidArgument("shape has no direct access path");
+    }
+  }
+
+  const EnvelopeView& view;
+  Strategy strategy = Strategy::kDecompressScan;
+};
+
+/// Answers `count` rows of one envelope — row_of(k) is the k-th row, out(k)
+/// its result slot — through the shape's direct access path when it has
+/// one, else with one decompress serving all of them.
+template <typename RowOf, typename Out>
+Status ReadRows(const CompressedNode& node, uint64_t count, RowOf row_of,
+                Out out) {
   if (!TypeIdIsUnsigned(node.out_type)) {
     return Status::InvalidArgument("point access requires an unsigned column");
   }
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<std::optional<PointResult>> {
+  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+  return internal::DispatchUnsignedTypeId(
+      node.out_type, [&](auto tag) -> Status {
         using T = typename decltype(tag)::type;
-        PointResult result;
-
-        switch (node.scheme.kind) {
-          case SchemeKind::kId: {
-            // Plain terminal data (see PlainIdData): a direct array read.
-            if (const AnyColumn* data = PlainIdData(node)) {
-              result.strategy = Strategy::kPlainScan;
-              result.value = PlainAt<T>(*data, row);
-              return std::optional<PointResult>(result);
-            }
-            break;
+        const DirectReader<T> reader(view);
+        if (reader.strategy != Strategy::kDecompressScan) {
+          for (uint64_t k = 0; k < count; ++k) {
+            RECOMP_ASSIGN_OR_RETURN(out(k).value, reader.At(row_of(k)));
+            out(k).strategy = reader.strategy;
           }
-
-          case SchemeKind::kNs: {
-            auto it = node.parts.find("packed");
-            if (it != node.parts.end() && it->second.is_terminal() &&
-                it->second.column->is_packed()) {
-              result.strategy = Strategy::kNsDirect;
-              result.value = static_cast<uint64_t>(
-                  ops::UnpackOne<T>(it->second.column->packed(), row));
-              return std::optional<PointResult>(result);
-            }
-            break;
-          }
-
-          case SchemeKind::kModeled: {
-            // FOR shape: ref + one extracted residual value.
-            if (node.scheme.args.size() == 1 &&
-                node.scheme.args[0].kind == SchemeKind::kStep) {
-              const AnyColumn* refs = TerminalPart(node, "refs");
-              const PackedColumn* packed = NsPackedPart(node, "residual");
-              const uint64_t ell = node.scheme.args[0].params.segment_length;
-              if (refs != nullptr && packed != nullptr && ell != 0 &&
-                  !refs->is_packed() && refs->type() == TypeIdOf<T>()) {
-                result.strategy = Strategy::kForDirect;
-                result.value = static_cast<uint64_t>(static_cast<T>(
-                    refs->As<T>()[row / ell] + ops::UnpackOne<T>(*packed, row)));
-                return std::optional<PointResult>(result);
-              }
-            }
-            break;
-          }
-
-          case SchemeKind::kRpe: {
-            const AnyColumn* values = TerminalPart(node, "values");
-            const AnyColumn* positions = TerminalPart(node, "positions");
-            if (values != nullptr && positions != nullptr &&
-                !values->is_packed() && values->type() == TypeIdOf<T>() &&
-                !positions->is_packed() &&
-                positions->type() == TypeId::kUInt32) {
-              // Inclusive end positions are sorted: the row's run is the
-              // first position strictly greater than `row`.
-              const Column<uint32_t>& pos = positions->As<uint32_t>();
-              const uint64_t run =
-                  std::upper_bound(pos.begin(), pos.end(),
-                                   static_cast<uint32_t>(row)) -
-                  pos.begin();
-              result.strategy = Strategy::kRpeBinarySearch;
-              result.value = PlainAt<T>(*values, run);
-              return std::optional<PointResult>(result);
-            }
-            break;
-          }
-
-          case SchemeKind::kDict: {
-            const AnyColumn* dictionary = TerminalPart(node, "dictionary");
-            const AnyColumn* codes = TerminalPart(node, "codes");
-            const PackedColumn* packed_codes = NsPackedPart(node, "codes");
-            if (dictionary != nullptr && !dictionary->is_packed() &&
-                dictionary->type() == TypeIdOf<T>()) {
-              uint32_t code;
-              if (codes != nullptr && !codes->is_packed() &&
-                  codes->type() == TypeId::kUInt32) {
-                code = codes->As<uint32_t>()[row];
-              } else if (packed_codes != nullptr) {
-                code = ops::UnpackOne<uint32_t>(*packed_codes, row);
-              } else {
-                break;
-              }
-              if (code >= dictionary->size()) {
-                return Status::Corruption("DICT code exceeds dictionary");
-              }
-              result.strategy = Strategy::kDictProbe;
-              result.value = PlainAt<T>(*dictionary, code);
-              return std::optional<PointResult>(result);
-            }
-            break;
-          }
-
-          default:
-            break;
+          return Status::OK();
         }
-        return std::optional<PointResult>();
+        RECOMP_ASSIGN_OR_RETURN(const AnyColumn plain,
+                                FusedDecompressNode(node));
+        const Column<T>& values = plain.As<T>();
+        for (uint64_t k = 0; k < count; ++k) {
+          out(k) = {static_cast<uint64_t>(values[row_of(k)]),
+                    Strategy::kDecompressScan};
+        }
+        return Status::OK();
       });
 }
 
 }  // namespace
 
 Result<PointResult> GetAt(const CompressedColumn& compressed, uint64_t row) {
-  RECOMP_ASSIGN_OR_RETURN(std::optional<PointResult> direct,
-                          TryDirectAt(compressed, row));
-  if (direct.has_value()) return *direct;
-  return Fallback(compressed.root(), row);
+  if (row >= compressed.size()) {
+    return Status::OutOfRange("point access past the end of the column");
+  }
+  PointResult result;
+  RECOMP_RETURN_NOT_OK(ReadRows(
+      compressed.root(), 1, [&](uint64_t) { return row; },
+      [&](uint64_t) -> PointResult& { return result; }));
+  return result;
 }
 
 Result<PointResult> GetAt(const ChunkedCompressedColumn& chunked, uint64_t row,
@@ -238,39 +184,11 @@ Result<std::vector<PointResult>> GetAtBatch(
         const CompressedChunk& chunk = chunked.chunk(touched[g]);
         const std::vector<uint64_t>& indices = groups[g];
         const uint64_t base = chunk.zone.row_begin;
-
-        // Probe the shape once: the direct path exists for every row of a
-        // chunk or for none (it depends only on the envelope's shape).
-        RECOMP_ASSIGN_OR_RETURN(
-            std::optional<PointResult> first,
-            TryDirectAt(chunk.column, rows[indices[0]] - base));
-        if (first.has_value()) {
-          results[indices[0]] = *first;
-          for (size_t k = 1; k < indices.size(); ++k) {
-            RECOMP_ASSIGN_OR_RETURN(
-                std::optional<PointResult> direct,
-                TryDirectAt(chunk.column, rows[indices[k]] - base));
-            if (!direct.has_value()) {
-              return Status::Corruption(
-                  "direct point access vanished mid-chunk");
-            }
-            results[indices[k]] = *direct;
-          }
-          return Status::OK();
-        }
-
-        // No direct path: one decompress serves every requested row of the
-        // chunk, each answered exactly as per-row GetAt's fallback would.
-        RECOMP_ASSIGN_OR_RETURN(AnyColumn plain, FusedDecompress(chunk.column));
-        return DispatchUnsignedTypeId(
-            chunk.column.type(), [&](auto tag) -> Status {
-              using T = typename decltype(tag)::type;
-              for (const uint64_t i : indices) {
-                results[i].strategy = Strategy::kDecompressScan;
-                results[i].value = PlainAt<T>(plain, rows[i] - base);
-              }
-              return Status::OK();
-            });
+        // One view per chunk: every requested row reads through it.
+        return ReadRows(
+            chunk.column.root(), indices.size(),
+            [&](uint64_t k) { return rows[indices[k]] - base; },
+            [&](uint64_t k) -> PointResult& { return results[indices[k]]; });
       }));
   return results;
 }

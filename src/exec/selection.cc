@@ -1,10 +1,9 @@
 #include "exec/selection.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "core/fused.h"
-#include "core/pipeline.h"
-#include "exec/node_access.h"
+#include "core/envelope.h"
 #include "exec/scan.h"
 #include "ops/pack.h"
 #include "schemes/scheme_internal.h"
@@ -36,199 +35,122 @@ std::string ChunkedSelectionStats::ToString() const {
 
 namespace {
 
-using internal::DispatchUnsignedTypeId;
-
-/// Materializes a part column (terminal: copy; composed: decompress).
-Result<AnyColumn> MaterializePart(const CompressedNode& node,
-                                  const std::string& part) {
-  auto it = node.parts.find(part);
-  if (it == node.parts.end()) {
-    return Status::Corruption("envelope lacks part '" + part + "'");
-  }
-  if (it->second.is_terminal()) return *it->second.column;
-  return FusedDecompressNode(*it->second.sub);
-}
-
-template <typename T>
-bool Overlaps(uint64_t seg_lo, uint64_t seg_hi, const RangePredicate& pred) {
-  return seg_hi >= pred.lo && seg_lo <= pred.hi;
+/// Filters a plain column, tagging the result with how the values were
+/// obtained: decompressed (fallback) or read in place (ID fast path).
+SelectionResult ScanValues(const AnyColumn& data, const RangePredicate& pred,
+                           Strategy strategy) {
+  SelectionResult result;
+  result.stats.strategy = strategy;
+  result.stats.values_decoded = data.size();
+  data.VisitPlain([&](const auto& values) {
+    ForEachMatch(values, pred, [&](uint64_t i, uint64_t) {
+      result.positions.push_back(static_cast<uint32_t>(i));
+    });
+  });
+  return result;
 }
 
 /// RPE / RLE: filter run values, expand qualifying runs.
-Result<SelectionResult> SelectRuns(const CompressedNode& node,
+template <typename T>
+Result<SelectionResult> SelectRuns(const RunsView& runs, uint64_t n,
                                    const RangePredicate& pred) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn values_any,
-                          MaterializePart(node, "values"));
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn positions_any,
-                          MaterializePart(node, "positions"));
-  if (positions_any.is_packed() || positions_any.type() != TypeId::kUInt32) {
-    return Status::Corruption("RPE positions must be uint32");
-  }
-  const Column<uint32_t>& positions = positions_any.As<uint32_t>();
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SelectionResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& values = values_any.As<T>();
-        SelectionResult result;
-        result.stats.strategy = Strategy::kRleRuns;
-        result.stats.runs_examined = values.size();
-        uint32_t begin = 0;
-        for (uint64_t r = 0; r < values.size(); ++r) {
-          const uint32_t end = positions[r];
-          const uint64_t v = static_cast<uint64_t>(values[r]);
-          if (v >= pred.lo && v <= pred.hi) {
-            for (uint32_t i = begin; i < end; ++i) {
-              result.positions.push_back(i);
-            }
-          }
-          begin = end;
+  AnyColumn values_storage, ends_storage;
+  RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
+                          runs.values.Read<T>(&values_storage));
+  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* ends,
+                          runs.ends.Read<uint32_t>(&ends_storage));
+  SelectionResult result;
+  result.stats.strategy = Strategy::kRleRuns;
+  result.stats.runs_examined = values->size();
+  RECOMP_RETURN_NOT_OK(
+      ForEachRun(*values, *ends, n, [&](uint64_t begin, uint64_t end, T v) {
+        if (!pred.Matches(static_cast<uint64_t>(v))) return;
+        for (uint64_t i = begin; i < end; ++i) {
+          result.positions.push_back(static_cast<uint32_t>(i));
         }
-        return result;
-      });
+      }));
+  return result;
 }
 
 /// DICT: translate the value range into a code range (order-preserving
 /// dictionary), then filter codes.
-Result<SelectionResult> SelectDict(const CompressedNode& node,
+template <typename T>
+Result<SelectionResult> SelectDict(const DictView& dict,
                                    const RangePredicate& pred) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn dict_any,
-                          MaterializePart(node, "dictionary"));
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn codes_any, MaterializePart(node, "codes"));
-  if (codes_any.is_packed() || codes_any.type() != TypeId::kUInt32) {
-    return Status::Corruption("DICT codes must be uint32");
+  AnyColumn dict_storage, codes_storage;
+  RECOMP_ASSIGN_OR_RETURN(const Column<T>* dictionary,
+                          dict.dictionary.Read<T>(&dict_storage));
+  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* codes,
+                          dict.codes.Read<uint32_t>(&codes_storage));
+  RECOMP_RETURN_NOT_OK(CheckDictionaryOrder(*dictionary));
+  SelectionResult result;
+  result.stats.strategy = Strategy::kDictCodes;
+  result.stats.values_decoded = codes->size();
+  // First code whose value >= lo; one past the last code whose value <= hi.
+  const uint64_t max = std::numeric_limits<T>::max();
+  const uint64_t lo_code =
+      std::lower_bound(dictionary->begin(), dictionary->end(),
+                       static_cast<T>(std::min(pred.lo, max))) -
+      dictionary->begin();
+  const uint64_t hi_code =
+      pred.lo > max
+          ? lo_code
+          : static_cast<uint64_t>(
+                std::upper_bound(dictionary->begin(), dictionary->end(),
+                                 static_cast<T>(std::min(pred.hi, max))) -
+                dictionary->begin());
+  for (uint64_t i = 0; i < codes->size(); ++i) {
+    const uint32_t code = (*codes)[i];
+    if (code >= dictionary->size()) {
+      return Status::Corruption("DICT code exceeds dictionary");
+    }
+    if (code >= lo_code && code < hi_code) {
+      result.positions.push_back(static_cast<uint32_t>(i));
+    }
   }
-  const Column<uint32_t>& codes = codes_any.As<uint32_t>();
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SelectionResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& dict = dict_any.As<T>();
-        SelectionResult result;
-        result.stats.strategy = Strategy::kDictCodes;
-        result.stats.values_decoded = codes.size();
-        // First code whose value >= lo; last code whose value <= hi.
-        const uint64_t lo_code =
-            std::lower_bound(dict.begin(), dict.end(),
-                             static_cast<T>(std::min<uint64_t>(
-                                 pred.lo, std::numeric_limits<T>::max()))) -
-            dict.begin();
-        const uint64_t hi_code =
-            static_cast<uint64_t>(
-                std::upper_bound(dict.begin(), dict.end(),
-                                 static_cast<T>(std::min<uint64_t>(
-                                     pred.hi, std::numeric_limits<T>::max()))) -
-                dict.begin());
-        if (pred.lo > static_cast<uint64_t>(std::numeric_limits<T>::max()) ||
-            lo_code >= hi_code) {
-          return result;  // Empty.
-        }
-        for (uint64_t i = 0; i < codes.size(); ++i) {
-          if (codes[i] >= lo_code && codes[i] < hi_code) {
-            result.positions.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return result;
-      });
+  return result;
 }
 
 /// MODELED(STEP) with an NS residual: prune whole segments by the model's
 /// L∞ bound [ref, ref + (2^w - 1)] before touching any packed bits.
-Result<SelectionResult> SelectStepPruned(const CompressedNode& node,
+template <typename T>
+Result<SelectionResult> SelectStepPruned(const EnvelopeView& view, uint64_t n,
                                          const RangePredicate& pred) {
-  const CompressedNode& residual_node = *node.parts.at("residual").sub;
-  const PackedColumn& packed =
-      residual_node.parts.at("packed").column->packed();
-  const uint64_t ell = node.scheme.args[0].params.segment_length;
+  const PackedColumn& packed = *view.packed;
+  const Column<T>& refs = view.refs->As<T>();
   const uint64_t mask = bits::LowMask64(packed.bit_width);
-  return DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Result<SelectionResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& refs = node.parts.at("refs").column->As<T>();
-        SelectionResult result;
-        result.stats.strategy = Strategy::kStepPruned;
-        result.stats.segments_total = refs.size();
-        Column<T> buffer(ell);
-        for (uint64_t seg = 0; seg < refs.size(); ++seg) {
-          const uint64_t begin = seg * ell;
-          const uint64_t end = std::min<uint64_t>(begin + ell, node.n);
-          const uint64_t seg_lo = static_cast<uint64_t>(refs[seg]);
-          const uint64_t seg_hi =
-              seg_lo + std::min<uint64_t>(mask, ~uint64_t{0} - seg_lo);
-          if (seg_hi < pred.lo || seg_lo > pred.hi) {
-            ++result.stats.segments_skipped;
-            continue;
-          }
-          if (seg_lo >= pred.lo && seg_hi <= pred.hi) {
-            ++result.stats.segments_full;
-            for (uint64_t i = begin; i < end; ++i) {
-              result.positions.push_back(static_cast<uint32_t>(i));
-            }
-            continue;
-          }
-          ++result.stats.segments_partial;
-          result.stats.values_decoded += end - begin;
-          RECOMP_RETURN_NOT_OK(
-              ops::UnpackRange(packed, begin, end, buffer.data()));
-          for (uint64_t i = begin; i < end; ++i) {
-            const uint64_t v =
-                seg_lo + static_cast<uint64_t>(buffer[i - begin]);
-            if (v >= pred.lo && v <= pred.hi) {
-              result.positions.push_back(static_cast<uint32_t>(i));
-            }
-          }
-        }
-        return result;
-      });
-}
-
-/// Filters a plain column, tagging the result with how the values were
-/// obtained: decompressed (fallback) or read in place (ID fast path).
-Result<SelectionResult> ScanValues(const AnyColumn& data,
-                                   const RangePredicate& pred,
-                                   Strategy strategy) {
-  return DispatchUnsignedTypeId(
-      data.type(), [&](auto tag) -> Result<SelectionResult> {
-        using T = typename decltype(tag)::type;
-        const Column<T>& values = data.As<T>();
-        SelectionResult result;
-        result.stats.strategy = strategy;
-        result.stats.values_decoded = values.size();
-        for (uint64_t i = 0; i < values.size(); ++i) {
-          const uint64_t v = static_cast<uint64_t>(values[i]);
-          if (v >= pred.lo && v <= pred.hi) {
-            result.positions.push_back(static_cast<uint32_t>(i));
-          }
-        }
-        return result;
-      });
-}
-
-/// Fallback: materialize everything and scan.
-Result<SelectionResult> SelectScan(const CompressedNode& node,
-                                   const RangePredicate& pred) {
-  RECOMP_ASSIGN_OR_RETURN(AnyColumn column, FusedDecompressNode(node));
-  return ScanValues(column, pred, Strategy::kDecompressScan);
-}
-
-bool IsStepPrunable(const CompressedNode& node) {
-  if (node.scheme.kind != SchemeKind::kModeled ||
-      node.scheme.args.size() != 1 ||
-      node.scheme.args[0].kind != SchemeKind::kStep) {
-    return false;
+  SelectionResult result;
+  result.stats.strategy = Strategy::kStepPruned;
+  result.stats.segments_total = refs.size();
+  Column<T> buffer(std::min(view.ell, n));  // Sized by rows: ell is input.
+  for (uint64_t seg = 0; seg < refs.size(); ++seg) {
+    const uint64_t begin = seg * view.ell;
+    const uint64_t end = std::min<uint64_t>(begin + view.ell, n);
+    const T ref = refs[seg];
+    const uint64_t seg_lo = static_cast<uint64_t>(ref);
+    const uint64_t seg_hi = seg_lo + mask;
+    const bool bounded = !ForWindowWraps<T>(seg_lo, mask);
+    if (bounded && (seg_hi < pred.lo || seg_lo > pred.hi)) {
+      ++result.stats.segments_skipped;
+      continue;
+    }
+    if (bounded && seg_lo >= pred.lo && seg_hi <= pred.hi) {
+      ++result.stats.segments_full;
+      for (uint64_t i = begin; i < end; ++i) {
+        result.positions.push_back(static_cast<uint32_t>(i));
+      }
+      continue;
+    }
+    ++result.stats.segments_partial;
+    result.stats.values_decoded += end - begin;
+    RECOMP_RETURN_NOT_OK(ops::UnpackRange(packed, begin, end, buffer.data()));
+    for (uint64_t i = begin; i < end; ++i) {
+      if (pred.Matches(static_cast<T>(ref + buffer[i - begin]))) {
+        result.positions.push_back(static_cast<uint32_t>(i));
+      }
+    }
   }
-  auto refs = node.parts.find("refs");
-  if (refs == node.parts.end() || !refs->second.is_terminal() ||
-      refs->second.column->is_packed()) {
-    return false;
-  }
-  auto residual = node.parts.find("residual");
-  if (residual == node.parts.end() || residual->second.is_terminal()) {
-    return false;
-  }
-  const CompressedNode& sub = *residual->second.sub;
-  if (sub.scheme.kind != SchemeKind::kNs) return false;
-  auto packed = sub.parts.find("packed");
-  return packed != sub.parts.end() && packed->second.is_terminal() &&
-         packed->second.column->is_packed();
+  return result;
 }
 
 }  // namespace
@@ -243,24 +165,23 @@ Result<SelectionResult> SelectCompressed(const CompressedColumn& compressed,
     return Status::InvalidArgument(
         "range selection over compressed data requires an unsigned column");
   }
-  switch (node.scheme.kind) {
-    case SchemeKind::kRpe:
-      return SelectRuns(node, predicate);
-    case SchemeKind::kDict:
-      return SelectDict(node, predicate);
-    case SchemeKind::kModeled:
-      if (IsStepPrunable(node)) return SelectStepPruned(node, predicate);
-      return SelectScan(node, predicate);
-    case SchemeKind::kId:
-      // Terminal plain data (the streaming store's uncompressed tail
-      // chunks): scan in place, no decompress copy.
-      if (const AnyColumn* data = PlainIdData(node)) {
-        return ScanValues(*data, predicate, Strategy::kPlainScan);
-      }
-      return SelectScan(node, predicate);
-    default:
-      return SelectScan(node, predicate);
+  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+  if (view.runs || view.dict || view.shape == FusedShape::kFor) {
+    return internal::DispatchUnsignedTypeId(
+        node.out_type, [&](auto tag) -> Result<SelectionResult> {
+          using T = typename decltype(tag)::type;
+          if (view.runs) return SelectRuns<T>(*view.runs, node.n, predicate);
+          if (view.dict) return SelectDict<T>(*view.dict, predicate);
+          return SelectStepPruned<T>(view, node.n, predicate);
+        });
   }
+  // Terminal plain data (the streaming store's uncompressed tail chunks):
+  // scan in place, no decompress copy.
+  if (view.stored_plain != nullptr) {
+    return ScanValues(*view.stored_plain, predicate, Strategy::kPlainScan);
+  }
+  RECOMP_ASSIGN_OR_RETURN(const AnyColumn column, FusedDecompressNode(node));
+  return ScanValues(column, predicate, Strategy::kDecompressScan);
 }
 
 Result<ChunkedSelectionResult> SelectCompressed(

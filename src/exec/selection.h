@@ -44,7 +44,28 @@ struct RangePredicate {
   bool operator==(const RangePredicate& other) const {
     return lo == other.lo && hi == other.hi;
   }
+
+  bool Matches(uint64_t v) const { return v >= lo && v <= hi; }
 };
+
+/// The range-filter loop over plain values: calls emit(i, v) for every
+/// index whose value v lies inside `pred`, in index order. Selection's
+/// scans and the shared-scan service's chunk and subsumption filters all
+/// run through it.
+template <typename T, typename Emit>
+void ForEachMatch(const Column<T>& values, const RangePredicate& pred,
+                  Emit&& emit) {
+  // Locals, not members: `emit` writes through references the compiler
+  // cannot prove disjoint from `values` and `pred`, so it would reload them.
+  const T* data = values.data();
+  const uint64_t n = values.size();
+  const uint64_t lo = pred.lo;
+  const uint64_t hi = pred.hi;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t v = static_cast<uint64_t>(data[i]);
+    if (v >= lo && v <= hi) emit(i, v);
+  }
+}
 
 /// How a selection was executed, for inspection and benchmarks.
 struct SelectionStats {

@@ -17,6 +17,7 @@
 
 #include "ops/kernels_avx2.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/bits.h"
@@ -238,7 +239,7 @@ void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
   RECOMP_DCHECK(width >= 0 && width <= kMaxUnpackWidth,
                 "AVX2 unpack width out of range");
   if (width == 0) {
-    std::memset(out, 0, n * sizeof(uint32_t));
+    std::fill_n(out, n, uint32_t{0});  // out may be null when n == 0.
     return;
   }
   const UnpackerU32 unpacker(width);
@@ -258,7 +259,7 @@ void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
   RECOMP_DCHECK(width >= 0 && width <= kMaxUnpackWidth64,
                 "AVX2 unpack width out of range");
   if (width == 0) {
-    std::memset(out, 0, n * sizeof(uint64_t));
+    std::fill_n(out, n, uint64_t{0});  // out may be null when n == 0.
     return;
   }
   const UnpackerU64 unpacker(width);
@@ -354,7 +355,7 @@ void UnpackAddU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
 void UnpackZigZagPrefixU32(const uint8_t* in, uint64_t in_bytes, uint64_t n,
                            int width, uint32_t* out) {
   if (width == 0) {
-    std::memset(out, 0, n * sizeof(uint32_t));
+    std::fill_n(out, n, uint32_t{0});  // out may be null when n == 0.
     return;
   }
   const UnpackerU32 unpacker(width);
@@ -376,7 +377,7 @@ void UnpackZigZagPrefixU32(const uint8_t* in, uint64_t in_bytes, uint64_t n,
 void UnpackZigZagPrefixU64(const uint8_t* in, uint64_t in_bytes, uint64_t n,
                            int width, uint64_t* out) {
   if (width == 0) {
-    std::memset(out, 0, n * sizeof(uint64_t));
+    std::fill_n(out, n, uint64_t{0});  // out may be null when n == 0.
     return;
   }
   const UnpackerU64 unpacker(width);

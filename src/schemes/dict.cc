@@ -64,6 +64,10 @@ class DictScheme final : public Scheme {
         return Status::Corruption("DICT 'dictionary' part has the wrong type");
       }
       const Column<T>& dictionary = dict_any->As<T>();
+      // Range and extrema pushdowns (exec/) read codes as values' order.
+      if (!std::is_sorted(dictionary.begin(), dictionary.end())) {
+        return Status::Corruption("DICT dictionary is not sorted");
+      }
       Column<T> out(codes.size());
       for (uint64_t i = 0; i < codes.size(); ++i) {
         if (codes[i] >= dictionary.size()) {

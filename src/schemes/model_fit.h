@@ -53,7 +53,10 @@ struct PlinFit {
 
 /// The line's integer offset at in-segment position j.
 inline int64_t PlinLineOffset(int64_t slope_fp, uint64_t j) {
-  return (slope_fp * static_cast<int64_t>(j)) >> kPlinSlopeFractionBits;
+  // Multiplied mod 2^64: a slope read from a damaged envelope must not
+  // overflow signed arithmetic (the fitter's slopes never do).
+  return static_cast<int64_t>(static_cast<uint64_t>(slope_fp) * j) >>
+         kPlinSlopeFractionBits;
 }
 
 /// Fits a lower-envelope line per segment: slope from the segment endpoints,

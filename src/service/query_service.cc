@@ -56,7 +56,7 @@ QueryService::QueryService(const store::Table* table, ServiceOptions options,
                            ExecContext ctx)
     : table_(table), options_(options), ctx_(ctx) {
   ctx_.priority = TaskPriority::kHigh;
-  if (options_.reuse_selection_vectors) {
+  if (options_.selection_cache_capacity > 0) {
     selection_cache_ = std::make_unique<SelectionVectorCache>(
         options_.selection_cache_capacity);
   }

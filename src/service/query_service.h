@@ -69,9 +69,8 @@ struct ServiceOptions {
   std::chrono::microseconds batch_window{200};
   /// Max queries per batch; a longer queue dispatches in successive batches.
   uint64_t max_batch_queries = 1024;
-  /// Recycle per-chunk selection vectors across queries and windows.
-  bool reuse_selection_vectors = true;
-  /// Entry capacity of the selection-vector cache.
+  /// Entry capacity of the selection-vector cache, which recycles per-chunk
+  /// selection vectors across queries and windows; 0 builds no cache.
   uint64_t selection_cache_capacity = 1u << 16;
   /// Byte budget of decoded chunks kept warm across windows.
   uint64_t decoded_cache_bytes = uint64_t{256} << 20;
@@ -198,7 +197,7 @@ class QueryService {
   /// The batch ExecContext: caller's pool, priority raised to kHigh.
   ExecContext ctx_;
 
-  /// Null when options_.reuse_selection_vectors is false.
+  /// Null when options_.selection_cache_capacity is 0.
   std::unique_ptr<SelectionVectorCache> selection_cache_;
   std::unique_ptr<DecodedChunkCache> decoded_cache_;
   std::unique_ptr<ResultCache> result_cache_;

@@ -10,13 +10,6 @@ namespace recomp::service {
 
 namespace {
 
-/// Reads one element of a decoded (plain, unsigned) chunk as uint64.
-uint64_t ValueAt(const AnyColumn& values, uint64_t index) {
-  return values.VisitPlain([&](const auto& col) -> uint64_t {
-    return static_cast<uint64_t>(col[index]);
-  });
-}
-
 /// The shared per-chunk execution: one pipeline instance serves every query
 /// of a batch concurrently. SelectChunk answers from the selection cache
 /// when it can, re-filters a containing band's cached selection when the
@@ -58,34 +51,28 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
     exec::GatherResult out;
     out.stats.rows = rows.size();
     out.points.resize(rows.size());
-    // Rows arrive ascending (the driver gathers its sorted selection), so a
-    // forward walk visits each touched chunk once; the reset handles any
-    // out-of-order caller.
-    uint64_t chunk = 0;
-    bool loaded = false;
-    std::shared_ptr<const AnyColumn> values;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const uint64_t row = rows[i];
-      if (row >= chunked.size()) {
+    // Rows arrive ascending (the driver gathers its sorted selection), so
+    // each touched chunk is looked up and decoded once per run of its rows.
+    for (size_t i = 0; i < rows.size();) {
+      if (rows[i] >= chunked.size()) {
         return Status::OutOfRange("row out of range");
       }
-      if (loaded && row < chunked.chunk(chunk).zone.row_begin) {
-        chunk = 0;
-        loaded = false;
-      }
-      while (row >= chunked.chunk(chunk).zone.row_begin +
-                        chunked.chunk(chunk).zone.row_count) {
-        ++chunk;
-        loaded = false;
-      }
-      if (!loaded) {
-        RECOMP_ASSIGN_OR_RETURN(values, Decoded(column, chunk));
-        loaded = true;
-        ++out.stats.chunks_touched;
-      }
-      const uint64_t local = row - chunked.chunk(chunk).zone.row_begin;
-      out.points[i] = {ValueAt(*values, local),
-                       exec::Strategy::kDecompressScan};
+      const uint64_t chunk = chunked.ChunkIndexOf(rows[i]);
+      const ZoneMap& zone = chunked.chunk(chunk).zone;
+      RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
+                              Decoded(column, chunk));
+      ++out.stats.chunks_touched;
+      // One typed visit reads the whole run.
+      i = values->VisitPlain([&](const auto& col) {
+        size_t k = i;
+        for (; k < rows.size() && rows[k] >= zone.row_begin &&
+               rows[k] - zone.row_begin < zone.row_count;
+             ++k) {
+          out.points[k] = {static_cast<uint64_t>(col[rows[k] - zone.row_begin]),
+                           exec::Strategy::kDecompressScan};
+        }
+        return k;
+      });
     }
     out.stats.strategy_rows[static_cast<int>(
         exec::Strategy::kDecompressScan)] = rows.size();
@@ -201,28 +188,23 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
       RECOMP_ASSIGN_OR_RETURN(
           const std::shared_ptr<const CachedSelection> base,
           EvalBand(column, chunk, *parent));
-      const uint64_t n = base->selection.positions.size();
       subsumed_.fetch_add(1, std::memory_order_relaxed);
-      values_examined_.fetch_add(n, std::memory_order_relaxed);
-      for (uint64_t i = 0; i < n; ++i) {
-        const uint64_t v = base->values[i];
-        if (v >= pred.lo && v <= pred.hi) {
-          entry->selection.positions.push_back(base->selection.positions[i]);
-          entry->values.push_back(v);
-        }
-      }
+      values_examined_.fetch_add(base->values.size(),
+                                 std::memory_order_relaxed);
+      exec::ForEachMatch(base->values, pred, [&](uint64_t i, uint64_t v) {
+        entry->selection.positions.push_back(base->selection.positions[i]);
+        entry->values.push_back(v);
+      });
     } else {
       RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
                               Decoded(column, chunk));
       entry->selection.stats.values_decoded = values->size();
-      const uint64_t n = values->size();
-      for (uint64_t i = 0; i < n; ++i) {
-        const uint64_t v = ValueAt(*values, i);
-        if (v >= pred.lo && v <= pred.hi) {
+      values->VisitPlain([&](const auto& col) {
+        exec::ForEachMatch(col, pred, [&](uint64_t i, uint64_t v) {
           entry->selection.positions.push_back(static_cast<uint32_t>(i));
           entry->values.push_back(v);
-        }
-      }
+        });
+      });
     }
     if (selection_cache_ != nullptr) {
       selection_cache_->Insert(version_, key, *entry);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/pipeline.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -91,14 +93,38 @@ TEST(PipelineTest, InvalidDescriptorRejectedBeforeWork) {
 // every workload shape.
 // ---------------------------------------------------------------------------
 
+constexpr const char* kDescriptors[] = {
+    "ID",
+    "NS",
+    "VBYTE",
+    "DELTA",
+    "DELTA{deltas:ZIGZAG{recoded:NS}}",
+    "DELTA{deltas:ZIGZAG{recoded:VBYTE}}",
+    "RPE",
+    "RPE{positions:DELTA}",
+    "RPE{positions:DELTA{deltas:NS},values:DELTA{deltas:ZIGZAG{recoded:NS}}}",
+    "DICT{codes:NS}",
+    "MODELED(STEP(128)){residual:NS}",
+    "MODELED(STEP(1024)){residual:PATCHED{base:NS}}",
+    "MODELED(PLIN(256)){residual:NS}",
+    "PATCHED{base:NS}",
+};
+
+constexpr const char* kWorkloads[] = {"runs", "uniform_narrow", "uniform_wide",
+                                      "trend"};
+
+// A case names its descriptor and workload by index, not by pointer: gtest
+// prints a parameter that has no printer as its raw bytes, and
+// gtest_discover_tests keeps that text in the ctest name, so a pointer's
+// ASLR-randomised bytes would give the same case a new name in every build.
 struct SweepCase {
-  const char* descriptor;
-  const char* workload;  // "runs", "uniform_narrow", "uniform_wide", "trend"
+  size_t descriptor;  // index into kDescriptors
+  size_t workload;    // index into kWorkloads
 };
 
 std::string SweepName(const ::testing::TestParamInfo<SweepCase>& info) {
-  std::string name = std::string(info.param.workload) + "_";
-  for (char c : std::string(info.param.descriptor)) {
+  std::string name = std::string(kWorkloads[info.param.workload]) + "_";
+  for (char c : std::string(kDescriptors[info.param.descriptor])) {
     name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
   }
   if (name.size() > 100) name.resize(100);
@@ -126,38 +152,18 @@ class RoundTripSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(RoundTripSweep, Lossless) {
   const SweepCase& param = GetParam();
-  auto desc = SchemeDescriptor::Parse(param.descriptor);
+  auto desc = SchemeDescriptor::Parse(kDescriptors[param.descriptor]);
   ASSERT_OK(desc.status());
   for (uint64_t seed : {101u, 202u}) {
-    Column<uint32_t> col = MakeWorkload(param.workload, seed);
+    Column<uint32_t> col = MakeWorkload(kWorkloads[param.workload], seed);
     ExpectRoundTrip(AnyColumn(col), *desc);
   }
 }
 
-constexpr const char* kDescriptors[] = {
-    "ID",
-    "NS",
-    "VBYTE",
-    "DELTA",
-    "DELTA{deltas:ZIGZAG{recoded:NS}}",
-    "DELTA{deltas:ZIGZAG{recoded:VBYTE}}",
-    "RPE",
-    "RPE{positions:DELTA}",
-    "RPE{positions:DELTA{deltas:NS},values:DELTA{deltas:ZIGZAG{recoded:NS}}}",
-    "DICT{codes:NS}",
-    "MODELED(STEP(128)){residual:NS}",
-    "MODELED(STEP(1024)){residual:PATCHED{base:NS}}",
-    "MODELED(PLIN(256)){residual:NS}",
-    "PATCHED{base:NS}",
-};
-
-constexpr const char* kWorkloads[] = {"runs", "uniform_narrow", "uniform_wide",
-                                      "trend"};
-
 std::vector<SweepCase> AllSweepCases() {
   std::vector<SweepCase> cases;
-  for (const char* desc : kDescriptors) {
-    for (const char* workload : kWorkloads) {
+  for (size_t desc = 0; desc < std::size(kDescriptors); ++desc) {
+    for (size_t workload = 0; workload < std::size(kWorkloads); ++workload) {
       cases.push_back({desc, workload});
     }
   }

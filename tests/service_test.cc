@@ -375,6 +375,39 @@ TEST(ServiceTest, SharedDecodingBeatsPerQueryDecoding) {
   EXPECT_LE(stats.chunks_decoded, 16u);
 }
 
+TEST(ServiceTest, ZeroSelectionCacheCapacityBuildsNoCache) {
+  auto table = MakeTable(8 * kChunk, 914);
+  ASSERT_OK(table.status());
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  ServiceOptions options;
+  options.selection_cache_capacity = 0;
+  // Without result caching (and so without in-batch dedup) every repeat
+  // executes: only a selection cache could recycle its chunk selections.
+  options.result_cache_bytes = 0;
+  auto service = QueryService::Create(&*table, options);
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  ScanSpec spec;
+  spec.Filter("k", {1000, kValueBound / 2}).Project({"v"});
+  auto solo = exec::Scan(*snap, spec);
+  ASSERT_OK(solo.status());
+  const uint64_t client = svc.RegisterClient();
+  // One at a time: each repeat lands in a later window than the first.
+  for (int q = 0; q < 6; ++q) {
+    auto future = svc.Submit(client, spec);
+    ASSERT_OK(future.status());
+    Result<exec::ScanResult> result = future->get();
+    ASSERT_OK(result.status()) << "query " << q;
+    EXPECT_TRUE(ScanOutputsEqual(*result, *solo)) << "query " << q;
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.queries_executed, 6u);
+  EXPECT_GT(stats.chunk_evaluations, 0u);
+  EXPECT_EQ(stats.selection_cache_hits, 0u);
+}
+
 TEST(ServiceTest, ServiceMetricsLandInTheRegistry) {
   const obs::MetricsSnapshot before = Table::MetricsSnapshot();
   auto table = MakeTable(4 * kChunk, 910);

@@ -251,21 +251,25 @@ TEST(ThreadPoolTest, ExecContextPriorityRoutesParallelForSubmits) {
   // A kHigh ExecContext must submit its fan-out at kHigh: wedge both
   // workers, queue a normal marker, then ParallelFor at kHigh from another
   // thread — the queued fan-out ranges must all overtake the marker.
+  // Only the worker wedged on gate B is let go before the end, so it alone
+  // drains the queues and things run in the order they were dequeued (two
+  // draining workers could finish the last high range after the marker).
   ThreadPool pool(2);
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
+  std::promise<void> release_a, release_b;
+  std::shared_future<void> gate_a = release_a.get_future().share();
+  std::shared_future<void> gate_b = release_b.get_future().share();
   // Both workers must be provably wedged before anything else is
   // submitted: a kHigh task queued while a worker is still on its way to
   // its gate task would be drained first (high beats normal), and the
   // queue-depth wait below would never be satisfied.
   std::promise<void> wedged_a, wedged_b;
-  pool.Submit([gate, &wedged_a] {
+  pool.Submit([gate_a, &wedged_a] {
     wedged_a.set_value();
-    gate.wait();
+    gate_a.wait();
   });
-  pool.Submit([gate, &wedged_b] {
+  pool.Submit([gate_b, &wedged_b] {
     wedged_b.set_value();
-    gate.wait();
+    gate_b.wait();
   });
   wedged_a.get_future().wait();
   wedged_b.get_future().wait();
@@ -286,20 +290,24 @@ TEST(ThreadPoolTest, ExecContextPriorityRoutesParallelForSubmits) {
       order.push_back(static_cast<int>(i));
     });
   });
-  // Wait until the fan-out is queued behind the wedge, then release.
-  while (pool.queue_depth(TaskPriority::kHigh) < 3) {
-    std::this_thread::yield();
-  }
-  release.set_value();
+  // Wait until the fan-out is queued behind the wedge and the runner has
+  // run its own range (nothing else can run yet), then release gate B.
+  auto ready = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return !order.empty() && pool.queue_depth(TaskPriority::kHigh) >= 3;
+  };
+  while (!ready()) std::this_thread::yield();
+  release_b.set_value();
   runner.join();
 
   TaskGroup fence;
   fence.Run(ExecContext{&pool, 1}, [] {}, TaskPriority::kLow);
   fence.Wait();
+  release_a.set_value();
 
   std::lock_guard<std::mutex> lock(mu);
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order.back(), 999)
+  const std::vector<int> expected = {0, 1, 2, 3, 999};
+  EXPECT_EQ(order, expected)
       << "high-priority fan-out should run before the queued normal marker";
 }
 
