@@ -20,6 +20,12 @@ namespace recomp {
 
 struct CompressedNode;
 
+/// The most rows a column or node may claim. A wire buffer or a damaged
+/// envelope can claim any count; the reader and the decoders refuse more
+/// than this before a count sizes a buffer or multiplies a width, so no
+/// claim can wrap a byte count or reach a length_error.
+inline constexpr uint64_t kMaxClaimedRows = uint64_t{1} << 40;
+
 /// One named part of a compressed form: a terminal column, or the result of
 /// compressing that part further with a child descriptor.
 struct CompressedPart {

@@ -209,6 +209,9 @@ Status ViewDeltaZigZag(const CompressedNode& node, EnvelopeView* view) {
 }  // namespace
 
 Result<EnvelopeView> ViewEnvelope(const CompressedNode& node) {
+  if (node.n > kMaxClaimedRows) {
+    return Status::Corruption("implausible row count");
+  }
   EnvelopeView view;
   const bool is_unsigned = TypeIdIsUnsigned(node.out_type);
   switch (node.scheme.kind) {

@@ -48,6 +48,9 @@ Result<CompressedNode> CompressNode(const AnyColumn& input,
 }
 
 Result<AnyColumn> DecompressNode(const CompressedNode& node) {
+  if (node.n > kMaxClaimedRows) {
+    return Status::Corruption("implausible row count");
+  }
   PartsMap parts;
   for (const auto& [name, part] : node.parts) {
     if (part.is_terminal()) {

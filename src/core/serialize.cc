@@ -174,6 +174,9 @@ Result<AnyColumn> ReadColumn(Reader& r) {
     }
     packed.bit_width = width;
     RECOMP_ASSIGN_OR_RETURN(packed.n, r.U64());
+    if (packed.n > kMaxClaimedRows) {
+      return Status::Corruption("implausible row count");
+    }
     RECOMP_ASSIGN_OR_RETURN(uint64_t byte_count, r.U64());
     RECOMP_RETURN_NOT_OK(r.Need(byte_count));
     packed.bytes.resize(byte_count);
@@ -185,7 +188,7 @@ Result<AnyColumn> ReadColumn(Reader& r) {
   }
   RECOMP_ASSIGN_OR_RETURN(TypeId type, ReadTypeId(r));
   RECOMP_ASSIGN_OR_RETURN(uint64_t rows, r.U64());
-  if (rows > (uint64_t{1} << 40)) {
+  if (rows > kMaxClaimedRows) {
     // Reject before any multiplication can wrap or any allocation is tried.
     return Status::Corruption("implausible row count");
   }
@@ -211,6 +214,9 @@ Result<CompressedNode> ReadNode(Reader& r, int depth) {
         "node descriptor must not carry children (structure is in parts)");
   }
   RECOMP_ASSIGN_OR_RETURN(node.n, r.U64());
+  if (node.n > kMaxClaimedRows) {
+    return Status::Corruption("implausible row count");
+  }
   RECOMP_ASSIGN_OR_RETURN(node.out_type, ReadTypeId(r));
   RECOMP_ASSIGN_OR_RETURN(uint32_t part_count, r.U32());
   if (part_count > 16) {

@@ -244,7 +244,7 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
   std::vector<Pending*> to_run;
   std::vector<std::string> run_keys;  // Aligned with to_run; result_cache_ on.
   std::vector<std::pair<Pending*, size_t>> duplicates;  // (query, to_run idx).
-  std::vector<std::pair<Pending*, exec::ScanResult>> hits;
+  std::vector<std::pair<Pending*, ResultCache::Handle>> hits;
   std::unordered_map<std::string, size_t> first_by_key;
   to_run.reserve(live.size());
   for (Pending* pending : live) {
@@ -253,11 +253,12 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
       continue;
     }
     std::string key = exec::CanonicalSpecKey(pending->spec);
-    exec::ScanResult cached;
-    if (result_cache_->Lookup(version, key, &cached)) {
+    if (ResultCache::Handle cached = result_cache_->Find(version, key)) {
+      metrics.result_cache_hits->Increment();
       hits.emplace_back(pending, std::move(cached));
       continue;
     }
+    metrics.result_cache_misses->Increment();
     const auto [it, inserted] = first_by_key.emplace(std::move(key),
                                                     to_run.size());
     if (inserted) {
@@ -277,8 +278,8 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
       totals_.result_cache_hits += hits.size();
     }
     const auto served = std::chrono::steady_clock::now();
-    for (auto& [pending, result] : hits) {
-      Deliver(pending, std::move(result), served);
+    for (const auto& [pending, result] : hits) {
+      Deliver(pending, *result, served);
     }
   }
 
@@ -327,8 +328,11 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
     }
   }
 
-  // Shrink the warm decoded working set back to budget between batches.
+  // What the window computed stays until its answers are out; then every
+  // cache sheds to its budget.
+  if (selection_cache_ != nullptr) selection_cache_->EvictToBudget();
   decoded_cache_->EvictToBudget();
+  if (result_cache_ != nullptr) result_cache_->EvictToBudget();
 }
 
 void QueryService::Deliver(Pending* pending, Result<exec::ScanResult> result,

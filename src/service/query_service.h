@@ -69,13 +69,15 @@ struct ServiceOptions {
   std::chrono::microseconds batch_window{200};
   /// Max queries per batch; a longer queue dispatches in successive batches.
   uint64_t max_batch_queries = 1024;
-  /// Entry capacity of the selection-vector cache, which recycles per-chunk
-  /// selection vectors across queries and windows; 0 builds no cache.
+  // The three cache budgets below apply when a window's answers are out;
+  // until then, everything its batch computes stays (service_cache.h).
+  /// Entries of per-chunk selection vectors kept across windows; 0 keeps
+  /// nothing past the batch (each selection is still computed once in it).
   uint64_t selection_cache_capacity = 1u << 16;
-  /// Byte budget of decoded chunks kept warm across windows.
+  /// Bytes of decoded chunks kept warm across windows.
   uint64_t decoded_cache_bytes = uint64_t{256} << 20;
-  /// Byte budget of whole cached results; 0 disables result caching *and*
-  /// in-batch deduplication (every admitted query then executes).
+  /// Bytes of whole results kept across windows; 0 disables result caching
+  /// *and* in-window deduplication (every admitted query then executes).
   uint64_t result_cache_bytes = uint64_t{64} << 20;
   /// Evaluate a band nested inside another band of the same batch over the
   /// containing band's selection instead of the full chunk.

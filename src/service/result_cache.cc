@@ -1,12 +1,8 @@
 #include "service/result_cache.h"
 
-#include <algorithm>
-
-#include "obs/service_metrics.h"
-
 namespace recomp::service {
 
-uint64_t ResultCache::ApproxResultBytes(const exec::ScanResult& result) {
+uint64_t ApproxResultBytes(const exec::ScanResult& result) {
   uint64_t bytes = sizeof(exec::ScanResult);
   bytes += result.positions.size() * sizeof(uint32_t);
   for (const exec::ScanFilterStats& filter : result.filters) {
@@ -21,75 +17,6 @@ uint64_t ResultCache::ApproxResultBytes(const exec::ScanResult& result) {
     bytes += sizeof(exec::ScanAggregate) + aggregate.column.size();
   }
   return bytes;
-}
-
-void ResultCache::PurgeIfStaleLocked(uint64_t version) {
-  if (version <= version_) return;
-  if (!entries_.empty()) {
-    obs::ServiceMetrics::Get().result_cache_invalidations->Increment();
-    entries_.clear();
-    fifo_.clear();
-    bytes_ = 0;
-  }
-  version_ = version;
-}
-
-bool ResultCache::Lookup(uint64_t version, const std::string& key,
-                         exec::ScanResult* out) {
-  const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
-  if (max_bytes_ == 0) {
-    metrics.result_cache_misses->Increment();
-    return false;
-  }
-  MutexLock lock(&mu_);
-  PurgeIfStaleLocked(version);
-  const auto it = entries_.find(key);
-  if (it == entries_.end() || version != version_) {
-    metrics.result_cache_misses->Increment();
-    return false;
-  }
-  *out = it->second.result;
-  metrics.result_cache_hits->Increment();
-  return true;
-}
-
-void ResultCache::Insert(uint64_t version, const std::string& key,
-                         const exec::ScanResult& result) {
-  if (max_bytes_ == 0) return;
-  const uint64_t entry_bytes = ApproxResultBytes(result);
-  if (entry_bytes > max_bytes_) return;  // Could never fit alongside anything.
-  const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
-  MutexLock lock(&mu_);
-  PurgeIfStaleLocked(version);
-  if (version != version_) return;  // Stale straggler: drop.
-  if (entries_.count(key) != 0) return;
-  while (bytes_ + entry_bytes > max_bytes_ && !fifo_.empty()) {
-    const auto it = entries_.find(fifo_.front());
-    fifo_.pop_front();
-    if (it == entries_.end()) continue;
-    bytes_ -= std::min(bytes_, it->second.bytes);
-    entries_.erase(it);
-    metrics.result_cache_evictions->Increment();
-  }
-  entries_.emplace(key, Entry{result, entry_bytes});
-  fifo_.push_back(key);
-  bytes_ += entry_bytes;
-  metrics.result_cache_insertions->Increment();
-}
-
-uint64_t ResultCache::size() const {
-  MutexLock lock(&mu_);
-  return entries_.size();
-}
-
-uint64_t ResultCache::bytes() const {
-  MutexLock lock(&mu_);
-  return bytes_;
-}
-
-uint64_t ResultCache::version() const {
-  MutexLock lock(&mu_);
-  return version_;
 }
 
 }  // namespace recomp::service

@@ -10,74 +10,45 @@
 //
 // Keys are canonical spec strings (exec::CanonicalSpecKey): filter order is
 // normalized away, so `Filter(a).Filter(b)` and `Filter(b).Filter(a)` share
-// one entry. Versioning follows the selection cache exactly: entries belong
-// to one current version, a lookup or insert carrying a newer version
-// purges everything first, and stale-version inserts are dropped. Results
-// carry materialized projections, so the budget is bytes (not entries) with
-// FIFO eviction; an entry alone exceeding the budget is never cached.
+// one entry. ResultCache is the service cache (service_cache.h) over these
+// results, budgeted in approximate bytes: a window's results stay until its
+// answers are delivered, then the oldest are shed to the budget. Callers
+// never store errors — a transient failure must not poison later retries.
 
 #ifndef RECOMP_SERVICE_RESULT_CACHE_H_
 #define RECOMP_SERVICE_RESULT_CACHE_H_
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "exec/scan.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "obs/service_metrics.h"
+#include "service/service_cache.h"
 
 namespace recomp::service {
 
-/// Thread-safe (version, canonical spec) → ScanResult cache.
-class ResultCache {
- public:
-  /// `max_bytes` bounds the cached results' approximate footprint; 0
-  /// disables caching (every lookup misses, every insert is dropped).
-  explicit ResultCache(uint64_t max_bytes) : max_bytes_(max_bytes) {}
+/// The footprint a cached result is charged: the owned buffers it retains
+/// (positions, projected values, per-chunk stats vectors).
+uint64_t ApproxResultBytes(const exec::ScanResult& result);
 
-  /// On hit, copies the cached result into `*out` and returns true. A
-  /// `version` newer than the cache's purges every entry first (counted
-  /// once per purge in service.result_cache.invalidations).
-  bool Lookup(uint64_t version, const std::string& key, exec::ScanResult* out);
-
-  /// Caches `result` for `key` at `version`, FIFO-evicting oldest entries
-  /// until it fits the byte budget. Inserts for an older version than the
-  /// cache's are dropped (a racing straggler must not resurrect stale
-  /// data), as are results that alone exceed the budget. Callers must not
-  /// cache errors — a transient failure must not poison later retries.
-  void Insert(uint64_t version, const std::string& key,
-              const exec::ScanResult& result);
-
-  /// Current entry count / approximate byte footprint (point-in-time).
-  uint64_t size() const;
-  uint64_t bytes() const;
-
-  /// The version the cached entries belong to (point-in-time; 0 when empty
-  /// and never advanced).
-  uint64_t version() const;
-
-  /// The footprint charged against the budget: the owned buffers a cached
-  /// copy retains (positions, projected values, per-chunk stats vectors).
-  static uint64_t ApproxResultBytes(const exec::ScanResult& result);
-
- private:
-  struct Entry {
-    exec::ScanResult result;
-    uint64_t bytes = 0;
-  };
-
-  void PurgeIfStaleLocked(uint64_t version) RECOMP_REQUIRES(mu_);
-
-  const uint64_t max_bytes_;
-  mutable Mutex mu_;
-  uint64_t version_ RECOMP_GUARDED_BY(mu_) = 0;
-  std::unordered_map<std::string, Entry> entries_ RECOMP_GUARDED_BY(mu_);
-  /// Insertion order for FIFO eviction.
-  std::deque<std::string> fifo_ RECOMP_GUARDED_BY(mu_);
-  uint64_t bytes_ RECOMP_GUARDED_BY(mu_) = 0;
+/// Results cost their approximate bytes.
+struct ResultTraits {
+  using Key = std::string;
+  using Hash = std::hash<std::string>;
+  using Value = exec::ScanResult;
+  static uint64_t Cost(const exec::ScanResult& result) {
+    return ApproxResultBytes(result);
+  }
+  static CacheCounters Counters() {
+    const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
+    return {metrics.result_cache_insertions, metrics.result_cache_evictions,
+            metrics.result_cache_invalidations};
+  }
 };
+
+/// (version, canonical spec) → ScanResult; the budget is bytes.
+using ResultCache = ServiceCache<ResultTraits>;
 
 }  // namespace recomp::service
 

@@ -10,29 +10,27 @@
 // recompression rewrite the representation only, so they neither bump the
 // version nor invalidate cached selections.
 //
-// The cache therefore keys on one current version: a lookup or insert
-// carrying a newer version purges everything from the older one first (a
-// table's versions move forward, so stale entries can never be asked for
-// again). Capacity is bounded by entry count with FIFO eviction — selection
-// vectors are small (positions plus matched values), so a simple bound
-// beats byte accounting here.
+// SelectionVectorCache is the service cache (service_cache.h) over these
+// selections: one current version, one computation per key, and a budget
+// that counts entries, applied once a batch is done. An entry's size
+// follows its chunk's matches, but the budget stays a count; a byte budget
+// shared with the other caches is still open (ROADMAP.md).
 //
-// Entries carry the matched VALUES alongside the positions. That is what
-// predicate subsumption (shared_scan.cc) feeds on: a band nested inside a
-// cached band re-filters the cached (position, value) pairs directly — no
-// chunk decode, no full scan — because a row passing the narrow band
-// necessarily passed the wide one.
+// Entries carry the matched VALUES alongside the positions, in the column's
+// own type. That is what predicate subsumption (shared_scan.cc) feeds on: a
+// band nested inside a cached band re-filters the cached (position, value)
+// pairs directly — no chunk decode, no full scan — because a row passing
+// the narrow band necessarily passed the wide one.
 
 #ifndef RECOMP_SERVICE_SELECTION_CACHE_H_
 #define RECOMP_SERVICE_SELECTION_CACHE_H_
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
+#include "columnar/any_column.h"
 #include "exec/selection.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "obs/service_metrics.h"
+#include "service/service_cache.h"
 
 namespace recomp::service {
 
@@ -63,51 +61,29 @@ struct SelectionKeyHash {
 
 /// One cached per-chunk selection: the matching chunk-local positions plus
 /// the column values at those positions (index-aligned with
-/// selection.positions). The values make the entry a self-contained
-/// evaluation substrate for any predicate nested inside this one.
+/// selection.positions, in the column's type). The values make the entry a
+/// self-contained evaluation substrate for any predicate nested inside this
+/// one.
 struct CachedSelection {
   exec::SelectionResult selection;
-  Column<uint64_t> values;
+  AnyColumn values;
 };
 
-/// Thread-safe (version, column, chunk, predicate) → selection-vector cache.
-/// All methods may be called concurrently from pool workers.
-class SelectionVectorCache {
- public:
-  /// `capacity` = max cached entries; 0 disables caching (every lookup
-  /// misses, every insert is dropped).
-  explicit SelectionVectorCache(uint64_t capacity) : capacity_(capacity) {}
-
-  /// On hit, copies the cached selection into `*out` and returns true.
-  /// A `version` newer than the cache's purges every entry first (counted
-  /// once per purge in service.selection_cache.invalidations).
-  bool Lookup(uint64_t version, const SelectionKey& key, CachedSelection* out);
-
-  /// Caches `entry` for `key` at `version`, evicting the oldest entry at
-  /// capacity. Inserts for an older version than the cache's are dropped
-  /// (a racing straggler must not resurrect stale data).
-  void Insert(uint64_t version, const SelectionKey& key,
-              const CachedSelection& entry);
-
-  /// Current entry count (point-in-time).
-  uint64_t size() const;
-
-  /// The version the cached entries belong to (point-in-time; 0 when empty
-  /// and never advanced).
-  uint64_t version() const;
-
- private:
-  /// Drops every entry when `version` is newer than the cached one.
-  void PurgeIfStaleLocked(uint64_t version) RECOMP_REQUIRES(mu_);
-
-  const uint64_t capacity_;
-  mutable Mutex mu_;
-  uint64_t version_ RECOMP_GUARDED_BY(mu_) = 0;
-  std::unordered_map<SelectionKey, CachedSelection, SelectionKeyHash> entries_
-      RECOMP_GUARDED_BY(mu_);
-  /// Insertion order for FIFO eviction.
-  std::deque<SelectionKey> fifo_ RECOMP_GUARDED_BY(mu_);
+/// Selections cost one entry each.
+struct SelectionTraits {
+  using Key = SelectionKey;
+  using Hash = SelectionKeyHash;
+  using Value = CachedSelection;
+  static uint64_t Cost(const CachedSelection&) { return 1; }
+  static CacheCounters Counters() {
+    return {nullptr, nullptr,
+            obs::ServiceMetrics::Get().selection_cache_invalidations};
+  }
 };
+
+/// (version, column, chunk, predicate) → selection; the budget is an entry
+/// count.
+using SelectionVectorCache = ServiceCache<SelectionTraits>;
 
 }  // namespace recomp::service
 

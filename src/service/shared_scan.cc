@@ -1,6 +1,10 @@
 #include "service/shared_scan.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "core/fused.h"
@@ -10,22 +14,45 @@ namespace recomp::service {
 
 namespace {
 
+/// Keeps the entries of `values` inside `pred`, with each kept entry's
+/// chunk row: rows[i] for entry i, or i itself when `rows` is null.
+CachedSelection FilterSelection(const AnyColumn& values,
+                                const Column<uint32_t>* rows,
+                                const exec::RangePredicate& pred) {
+  CachedSelection out;
+  out.selection.stats.strategy = exec::Strategy::kDecompressScan;
+  Column<uint32_t>& positions = out.selection.positions;
+  values.VisitPlain([&](const auto& col) {
+    using T = typename std::decay_t<decltype(col)>::value_type;
+    Column<T> kept;
+    exec::ForEachMatch(col, pred, [&](uint64_t i, uint64_t v) {
+      positions.push_back(rows != nullptr ? (*rows)[i]
+                                          : static_cast<uint32_t>(i));
+      kept.push_back(static_cast<T>(v));
+    });
+    out.values = AnyColumn(std::move(kept));
+  });
+  return out;
+}
+
 /// The shared per-chunk execution: one pipeline instance serves every query
 /// of a batch concurrently. SelectChunk answers from the selection cache
-/// when it can, re-filters a containing band's cached selection when the
-/// batch's containment lattice offers one, and only otherwise scans the
-/// shared decoded buffer; GatherRows reads the shared buffers directly. All
+/// when it can, re-filters a containing band's selection when the batch's
+/// containment lattice offers one, and only otherwise scans the shared
+/// decoded buffer; GatherRows reads the shared buffers directly. All
 /// counters are atomics — pool workers running different queries call in
 /// simultaneously.
 class SharedScanPipeline final : public exec::ChunkPipeline {
  public:
+  /// `count_hits` is false when `selections` is the batch's own instance.
   SharedScanPipeline(const store::TableSnapshot& snapshot,
                      const std::vector<const exec::ScanSpec*>& specs,
-                     SelectionVectorCache* selection_cache,
-                     DecodedChunkCache* decoded_cache, bool subsume_predicates)
+                     SelectionVectorCache* selections, bool count_hits,
+                     DecodedChunkCache* chunks, bool subsume_predicates)
       : version_(snapshot.version()),
-        selection_cache_(selection_cache),
-        decoded_cache_(decoded_cache),
+        selections_(selections),
+        count_hits_(count_hits),
+        chunks_(chunks),
         subsume_(subsume_predicates) {
     columns_.reserve(snapshot.num_columns());
     for (uint64_t i = 0; i < snapshot.num_columns(); ++i) {
@@ -79,6 +106,7 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
     return out;
   }
 
+  uint64_t decodes() const { return decodes_.load(std::memory_order_relaxed); }
   uint64_t chunk_evaluations() const {
     return chunk_evaluations_.load(std::memory_order_relaxed);
   }
@@ -160,28 +188,35 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
     return it == parents_.end() ? nullptr : &it->second;
   }
 
-  /// Evaluates one band over one chunk, preferring (in order) the
-  /// cross-batch selection cache, the batch-local memo, a containing band's
-  /// selection (recursively), and only last a scan of the shared decoded
-  /// buffer. Returns the positions *and* the matched values so callers one
-  /// tier down can do the same.
+  /// One band's selection over one chunk, computed once per batch and kept
+  /// across batches while the selection cache holds it: by re-filtering its
+  /// narrowest containing band's selection (itself found the same way) when
+  /// the lattice offers one, else by scanning the shared decoded buffer.
+  /// Entries carry the matched values so callers one tier down can do the
+  /// same.
   Result<std::shared_ptr<const CachedSelection>> EvalBand(
       uint64_t column, uint64_t chunk, const exec::RangePredicate& pred) {
     const SelectionKey key{column, chunk, pred.lo, pred.hi};
-    if (selection_cache_ != nullptr) {
-      CachedSelection cached;
-      if (selection_cache_->Lookup(version_, key, &cached)) {
+    const auto compute = [&] { return ComputeBand(column, chunk, pred); };
+    bool reused = false;
+    Result<std::shared_ptr<const CachedSelection>> entry =
+        selections_->GetOrCompute(version_, key, compute, &reused);
+    if (count_hits_) {
+      const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
+      if (reused) {
         selection_hits_.fetch_add(1, std::memory_order_relaxed);
-        return std::make_shared<const CachedSelection>(std::move(cached));
+        metrics.selection_cache_hits->Increment();
+      } else {
+        metrics.selection_cache_misses->Increment();
       }
     }
-    if (subsume_) {
-      MutexLock lock(&memo_mu_);
-      const auto it = memo_.find(key);
-      if (it != memo_.end()) return it->second;
-    }
-    std::shared_ptr<CachedSelection> entry = std::make_shared<CachedSelection>();
-    entry->selection.stats.strategy = exec::Strategy::kDecompressScan;
+    return entry;
+  }
+
+  Result<CachedSelection> ComputeBand(uint64_t column, uint64_t chunk,
+                                      const exec::RangePredicate& pred) {
+    // Strict containment is acyclic, so the nested lookup never waits on a
+    // computation that waits on this one.
     const exec::RangePredicate* parent =
         subsume_ ? FindParent(column, pred) : nullptr;
     if (parent != nullptr) {
@@ -191,50 +226,34 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
       subsumed_.fetch_add(1, std::memory_order_relaxed);
       values_examined_.fetch_add(base->values.size(),
                                  std::memory_order_relaxed);
-      exec::ForEachMatch(base->values, pred, [&](uint64_t i, uint64_t v) {
-        entry->selection.positions.push_back(base->selection.positions[i]);
-        entry->values.push_back(v);
-      });
-    } else {
-      RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
-                              Decoded(column, chunk));
-      entry->selection.stats.values_decoded = values->size();
-      values->VisitPlain([&](const auto& col) {
-        exec::ForEachMatch(col, pred, [&](uint64_t i, uint64_t v) {
-          entry->selection.positions.push_back(static_cast<uint32_t>(i));
-          entry->values.push_back(v);
-        });
-      });
+      return FilterSelection(base->values, &base->selection.positions, pred);
     }
-    if (selection_cache_ != nullptr) {
-      selection_cache_->Insert(version_, key, *entry);
-    }
-    if (subsume_) {
-      MutexLock lock(&memo_mu_);
-      memo_.emplace(key, entry);  // First computation wins; dups are equal.
-    }
-    return std::shared_ptr<const CachedSelection>(std::move(entry));
+    RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
+                            Decoded(column, chunk));
+    CachedSelection entry = FilterSelection(*values, nullptr, pred);
+    entry.selection.stats.values_decoded = values->size();
+    return entry;
   }
 
   Result<std::shared_ptr<const AnyColumn>> Decoded(uint64_t column,
                                                    uint64_t chunk) {
-    return decoded_cache_->GetOrDecode(
-        version_, column, chunk, columns_[column]->chunk(chunk).column);
+    // Columns are few and chunk indices fit 32 bits (rows < 2^32).
+    return chunks_->GetOrCompute(version_, (column << 32) | chunk, [&] {
+      decodes_.fetch_add(1, std::memory_order_relaxed);
+      obs::ServiceMetrics::Get().chunks_decoded->Increment();
+      return FusedDecompress(columns_[column]->chunk(chunk).column);
+    });
   }
 
   const uint64_t version_;
   std::vector<const ChunkedCompressedColumn*> columns_;
-  SelectionVectorCache* const selection_cache_;
-  DecodedChunkCache* const decoded_cache_;
+  SelectionVectorCache* const selections_;
+  const bool count_hits_;
+  DecodedChunkCache* const chunks_;
   const bool subsume_;
   /// Read-only after construction: band → narrowest strict container.
   std::unordered_map<BandKey, exec::RangePredicate, BandKeyHash> parents_;
-  /// Batch-local memo so a band evaluates once per chunk even with the
-  /// selection cache disabled (and so parent selections stay shared).
-  Mutex memo_mu_;
-  std::unordered_map<SelectionKey, std::shared_ptr<const CachedSelection>,
-                     SelectionKeyHash>
-      memo_ RECOMP_GUARDED_BY(memo_mu_);
+  std::atomic<uint64_t> decodes_{0};
   std::atomic<uint64_t> chunk_evaluations_{0};
   std::atomic<uint64_t> selection_hits_{0};
   std::atomic<uint64_t> subsumed_{0};
@@ -243,132 +262,22 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
 
 }  // namespace
 
-void DecodedChunkCache::PurgeIfStaleLocked(uint64_t version) {
-  if (version <= version_) return;
-  cells_.clear();
-  fifo_.clear();
-  settled_bytes_.clear();
-  bytes_ = 0;
-  version_ = version;
-}
-
-Result<std::shared_ptr<const AnyColumn>> DecodedChunkCache::GetOrDecode(
-    uint64_t version, uint64_t column, uint64_t chunk,
-    const CompressedColumn& compressed) {
-  std::shared_ptr<Cell> cell;
-  bool decoder = false;
-  {
-    MutexLock lock(&mu_);
-    PurgeIfStaleLocked(version);
-    if (version == version_) {
-      const uint64_t key = Key(column, chunk);
-      const auto it = cells_.find(key);
-      if (it != cells_.end()) {
-        cell = it->second;
-      } else {
-        cell = std::make_shared<Cell>();
-        cells_.emplace(key, cell);
-        fifo_.push_back(key);
-        decoder = true;
-      }
-    }
-  }
-  if (cell == nullptr) {
-    // A version older than the cache's (a straggling batch): decode without
-    // caching — stale data must never enter the map.
-    decodes_.fetch_add(1, std::memory_order_relaxed);
-    obs::ServiceMetrics::Get().chunks_decoded->Increment();
-    RECOMP_ASSIGN_OR_RETURN(AnyColumn decoded, FusedDecompress(compressed));
-    return std::make_shared<const AnyColumn>(std::move(decoded));
-  }
-  if (decoder) {
-    decodes_.fetch_add(1, std::memory_order_relaxed);
-    obs::ServiceMetrics::Get().chunks_decoded->Increment();
-    Result<AnyColumn> decoded = FusedDecompress(compressed);
-    uint64_t added_bytes = 0;
-    {
-      MutexLock lock(&cell->mu);
-      if (decoded.ok()) {
-        cell->values = std::make_shared<const AnyColumn>(
-            std::move(decoded).ValueUnsafe());
-        added_bytes = cell->values->ByteSize();
-      } else {
-        cell->status = std::move(decoded).status();
-      }
-      cell->done = true;
-    }
-    cell->cv.NotifyAll();
-    {
-      // Settle the accounting only if this cell is still the mapped one: a
-      // version purge may have dropped it while we decoded, and charging a
-      // dropped cell's bytes would leak them forever (nothing could ever
-      // evict them back out). A failed decode settles at 0 bytes so the
-      // dead cell stays evictable.
-      MutexLock lock(&mu_);
-      const auto it = cells_.find(Key(column, chunk));
-      if (it != cells_.end() && it->second == cell) {
-        settled_bytes_[Key(column, chunk)] = added_bytes;
-        bytes_ += added_bytes;
-      }
-    }
-  } else {
-    MutexLock lock(&cell->mu);
-    while (!cell->done) cell->cv.Wait(lock);
-  }
-  MutexLock lock(&cell->mu);
-  if (!cell->status.ok()) return cell->status;
-  return cell->values;
-}
-
-void DecodedChunkCache::EvictToBudget() {
-  MutexLock lock(&mu_);
-  // An unsettled key is a decode still in flight: evicting it would strand
-  // its eventual bytes with no owner (the decoder would charge a cell no
-  // longer in the map — or, with the identity check, never charge it, and
-  // waiters would re-decode a chunk we just paid for). Skip it; it keeps
-  // its place in eviction order for the next pass.
-  std::vector<uint64_t> in_flight;
-  while (bytes_ > max_bytes_ && !fifo_.empty()) {
-    const uint64_t key = fifo_.front();
-    fifo_.pop_front();
-    const auto it = cells_.find(key);
-    if (it == cells_.end()) continue;
-    const auto settled = settled_bytes_.find(key);
-    if (settled == settled_bytes_.end()) {
-      in_flight.push_back(key);
-      continue;
-    }
-    bytes_ -= std::min(bytes_, settled->second);
-    settled_bytes_.erase(settled);
-    cells_.erase(it);
-  }
-  // Back at the front: a skipped cell keeps its oldest-first priority.
-  fifo_.insert(fifo_.begin(), in_flight.begin(), in_flight.end());
-}
-
-uint64_t DecodedChunkCache::size() const {
-  MutexLock lock(&mu_);
-  return cells_.size();
-}
-
-uint64_t DecodedChunkCache::bytes() const {
-  MutexLock lock(&mu_);
-  return bytes_;
-}
-
 std::vector<Result<exec::ScanResult>> ExecuteBatch(
     const store::TableSnapshot& snapshot,
     const std::vector<const exec::ScanSpec*>& specs, const ExecContext& ctx,
     SelectionVectorCache* selection_cache, DecodedChunkCache* decoded_cache,
     BatchStats* stats, bool subsume_predicates) {
-  // Without a caller-retained working set, decode-once still holds within
-  // the batch via a batch-local cache.
-  DecodedChunkCache local_cache(0);
-  DecodedChunkCache* cache =
-      decoded_cache != nullptr ? decoded_cache : &local_cache;
-  const uint64_t decodes_before = cache->decodes();
+  // Without a caller-retained cache, compute-once still holds within the
+  // batch via a batch-local one, gone with the batch.
+  SelectionVectorCache local_selections(0);
+  DecodedChunkCache local_chunks(0);
+  SelectionVectorCache* selections =
+      selection_cache != nullptr ? selection_cache : &local_selections;
+  DecodedChunkCache* chunks =
+      decoded_cache != nullptr ? decoded_cache : &local_chunks;
 
-  SharedScanPipeline pipeline(snapshot, specs, selection_cache, cache,
+  SharedScanPipeline pipeline(snapshot, specs, selections,
+                              selection_cache != nullptr, chunks,
                               subsume_predicates);
   std::vector<Result<exec::ScanResult>> results(
       specs.size(),
@@ -383,7 +292,7 @@ std::vector<Result<exec::ScanResult>> ExecuteBatch(
 
   BatchStats batch;
   batch.queries = specs.size();
-  batch.chunks_decoded = cache->decodes() - decodes_before;
+  batch.chunks_decoded = pipeline.decodes();
   batch.chunk_evaluations = pipeline.chunk_evaluations();
   batch.selection_cache_hits = pipeline.selection_hits();
   batch.subsumed_evaluations = pipeline.subsumed_evaluations();

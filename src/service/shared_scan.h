@@ -35,90 +35,32 @@
 #ifndef RECOMP_SERVICE_SHARED_SCAN_H_
 #define RECOMP_SERVICE_SHARED_SCAN_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <unordered_map>
+#include <functional>
 #include <vector>
 
+#include "columnar/any_column.h"
 #include "exec/scan.h"
 #include "service/selection_cache.h"
+#include "service/service_cache.h"
 #include "store/table.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace recomp::service {
 
-/// Decoded chunks shared by every query in a batch and kept warm across
-/// batching windows while the table version stands. Keyed (column, chunk)
-/// under one current version — a newer version purges everything, exactly
-/// like the selection cache. Thread-safe; concurrent requests for the same
-/// chunk block until the single decode finishes (per-entry latch), so a
-/// chunk is never decoded twice within a version no matter how many queries
-/// race for it.
-class DecodedChunkCache {
- public:
-  /// `max_bytes` bounds the *retained* working set: EvictToBudget() drops
-  /// the oldest decoded chunks beyond it between batches. During a batch
-  /// the cache grows as needed — evicting mid-batch would just force
-  /// re-decodes.
-  explicit DecodedChunkCache(uint64_t max_bytes) : max_bytes_(max_bytes) {}
-
-  /// The decoded values of chunk `chunk` of column `column` (whose payload
-  /// is `compressed`), decoding via FusedDecompress on first touch. The
-  /// returned buffer is immutable and stays valid independent of eviction.
-  Result<std::shared_ptr<const AnyColumn>> GetOrDecode(
-      uint64_t version, uint64_t column, uint64_t chunk,
-      const CompressedColumn& compressed);
-
-  /// Drops oldest settled entries until the retained bytes fit max_bytes.
-  /// Cells still decoding (or that a straggler just latched onto) are never
-  /// evicted out from under their decoder — an unsettled cell is skipped
-  /// and stays in eviction order for the next pass. Never blocks on a
-  /// decode: settlement is tracked in the cache's own ledger, so eviction
-  /// takes no per-cell locks.
-  void EvictToBudget();
-
-  /// Physical decodes performed so far (monotonic; snapshot before/after a
-  /// batch for per-batch counts).
-  uint64_t decodes() const { return decodes_.load(std::memory_order_relaxed); }
-
-  /// Current retained entry count / byte footprint (point-in-time).
-  uint64_t size() const;
-  uint64_t bytes() const;
-
- private:
-  /// One chunk's decode latch: filled exactly once, then immutable.
-  struct Cell {
-    Mutex mu;
-    CondVar cv;
-    bool done RECOMP_GUARDED_BY(mu) = false;
-    Status status RECOMP_GUARDED_BY(mu);
-    std::shared_ptr<const AnyColumn> values RECOMP_GUARDED_BY(mu);
-  };
-
-  static uint64_t Key(uint64_t column, uint64_t chunk) {
-    // Columns are few and chunk indices fit 32 bits (rows < 2^32).
-    return (column << 32) | chunk;
-  }
-
-  void PurgeIfStaleLocked(uint64_t version) RECOMP_REQUIRES(mu_);
-
-  const uint64_t max_bytes_;
-  std::atomic<uint64_t> decodes_{0};
-  mutable Mutex mu_;
-  uint64_t version_ RECOMP_GUARDED_BY(mu_) = 0;
-  std::unordered_map<uint64_t, std::shared_ptr<Cell>> cells_
-      RECOMP_GUARDED_BY(mu_);
-  std::deque<uint64_t> fifo_ RECOMP_GUARDED_BY(mu_);
-  uint64_t bytes_ RECOMP_GUARDED_BY(mu_) = 0;
-  /// Bytes each *settled* cell contributed to bytes_ (0 for a failed
-  /// decode). A key absent here is still decoding and must not be evicted;
-  /// a decoder only settles if its cell is still the mapped one, so a purge
-  /// or eviction racing the decode can never corrupt the accounting.
-  std::unordered_map<uint64_t, uint64_t> settled_bytes_ RECOMP_GUARDED_BY(mu_);
+/// Decoded chunks, keyed (column << 32) | chunk, cost their bytes. Shared by
+/// every query in a batch and kept warm across batching windows while the
+/// table version stands; a chunk decodes once per version while it stays
+/// within the byte budget, however many queries race for it.
+struct DecodedChunkTraits {
+  using Key = uint64_t;
+  using Hash = std::hash<uint64_t>;
+  using Value = AnyColumn;
+  static uint64_t Cost(const AnyColumn& values) { return values.ByteSize(); }
+  static CacheCounters Counters() { return {}; }
 };
+
+/// (version, column, chunk) → decoded values; the budget is bytes.
+using DecodedChunkCache = ServiceCache<DecodedChunkTraits>;
 
 /// Work accounting of one executed batch. The sharing ratio is
 /// chunk_evaluations / chunks_decoded: how many per-query evaluations each
@@ -143,13 +85,16 @@ struct BatchStats {
 /// through the shared pipeline. results[i] is query i's outcome; a failing
 /// query (bad column name, unsupported type) fails only its own slot.
 ///
-/// `selection_cache` and `decoded_cache` may be null: without a selection
-/// cache every evaluation scans the shared buffer; without a decoded cache
-/// a batch-local cache is used (decode-once within the batch, nothing
-/// retained). `stats`, when non-null, receives this batch's accounting;
-/// the same numbers also fold into the service.* registry metrics.
-/// `subsume_predicates` enables the containment lattice; off, every band
-/// evaluates independently (PR 9 behavior).
+/// A chunk and a (band, chunk) selection are each computed once per batch.
+/// `selection_cache` and `decoded_cache` keep them across batches; a null
+/// one is replaced by a batch-local instance, which keeps nothing past the
+/// batch (and a null selection cache counts no hits). The batch only adds
+/// to the caller's caches: the caller sheds them to their budgets with
+/// EvictToBudget() once it is done with the batch (QueryService does so
+/// after delivering each window's answers). `stats`, when non-null,
+/// receives this batch's accounting; the same numbers also fold into the
+/// service.* registry metrics. `subsume_predicates` enables the containment
+/// lattice; off, no band leans on a containing band.
 std::vector<Result<exec::ScanResult>> ExecuteBatch(
     const store::TableSnapshot& snapshot,
     const std::vector<const exec::ScanSpec*>& specs, const ExecContext& ctx,

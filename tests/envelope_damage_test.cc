@@ -477,6 +477,7 @@ TEST(EnvelopeDamageProbe, DamagesAreRefusedEverywhere) {
   const Column<uint32_t> runs = Runs(rng, 1000, 12);
   Column<uint32_t> few(1000);
   for (auto& v : few) v = static_cast<uint32_t>(rng.Below(50));
+  const Column<uint32_t> zeros(8);
 
   struct Probe {
     const char* name;
@@ -534,6 +535,14 @@ TEST(EnvelopeDamageProbe, DamagesAreRefusedEverywhere) {
          packed.n = 16;
          *node->parts.at("packed").column = std::move(packed);
        }},
+      // Width 0 packs no bytes, so the payload check alone passes any n.
+      {"NS width 0 claims 2^62 rows", Ns(), &zeros,
+       [](CompressedNode* node) {
+         PackedColumn packed = node->parts.at("packed").column->packed();
+         ASSERT_EQ(packed.bit_width, 0);
+         node->n = packed.n = uint64_t{1} << 62;
+         *node->parts.at("packed").column = std::move(packed);
+       }},
   };
   for (const Probe& probe : probes) {
     SCOPED_TRACE(probe.name);
@@ -542,6 +551,7 @@ TEST(EnvelopeDamageProbe, DamagesAreRefusedEverywhere) {
     ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
     probe.damage(&compressed->root());
     EXPECT_FALSE(FusedDecompress(*compressed).ok());
+    EXPECT_FALSE(Decompress(*compressed).ok());
     CheckOperators(*compressed, AnyColumn(*probe.data), rng);
   }
 }

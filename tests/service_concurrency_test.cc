@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/fused.h"
 #include "exec/scan.h"
 #include "service/query_service.h"
 #include "service/shared_scan.h"
@@ -244,6 +245,28 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
   auto snap = table->Snapshot();
   ASSERT_OK(snap.status());
 
+  // The cold pass runs at both edges of the three cache budgets, set
+  // together: 0 keeps nothing past a batch, one chunk's worth sheds nearly
+  // everything at each batch's end, and the defaults keep it all.
+  // Only the default leg keeps every result, so only it replays warm.
+  const auto with_budgets = [](uint64_t selections, uint64_t bytes) {
+    ServiceOptions options;
+    options.selection_cache_capacity = selections;
+    options.decoded_cache_bytes = bytes;
+    options.result_cache_bytes = bytes;
+    return options;
+  };
+  struct Leg {
+    const char* name;
+    ServiceOptions options;
+    bool warm;
+  };
+  const Leg legs[] = {
+      {"budgets=0", with_budgets(0, 0), false},
+      {"budgets=one-chunk", with_budgets(1, kChunk * sizeof(uint32_t)), false},
+      {"budgets=default", ServiceOptions{}, true},
+  };
+
   uint64_t seed = 1403;
   for (const uint64_t threads : {uint64_t{0}, uint64_t{2}, uint64_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -253,11 +276,6 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
       pool = std::make_unique<ThreadPool>(threads);
       ctx = ExecContext{pool.get(), 1};
     }
-    ServiceOptions options;
-    options.batch_window = std::chrono::microseconds(2000);
-    auto service = QueryService::Create(&*table, options, ctx);
-    ASSERT_OK(service.status());
-    QueryService& svc = **service;
 
     // A workload that deliberately repeats itself and nests its bands:
     // duplicates exercise the result cache / in-batch dedup, shrunken
@@ -288,35 +306,46 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
       }
     }
 
-    const uint64_t client_a = svc.RegisterClient();
-    const uint64_t client_b = svc.RegisterClient();
-    const auto run_pass = [&](const char* pass) {
-      SCOPED_TRACE(pass);
-      std::vector<QueryService::ResultFuture> futures;
-      for (size_t q = 0; q < specs.size(); ++q) {
-        auto future =
-            svc.Submit(q % 2 == 0 ? client_a : client_b, specs[q]);
-        ASSERT_OK(future.status());
-        futures.push_back(std::move(*future));
+    for (const Leg& leg : legs) {
+      SCOPED_TRACE(leg.name);
+      ServiceOptions options = leg.options;
+      options.batch_window = std::chrono::microseconds(2000);
+      auto service = QueryService::Create(&*table, options, ctx);
+      ASSERT_OK(service.status());
+      QueryService& svc = **service;
+
+      const uint64_t client_a = svc.RegisterClient();
+      const uint64_t client_b = svc.RegisterClient();
+      const auto run_pass = [&](const char* pass) {
+        SCOPED_TRACE(pass);
+        std::vector<QueryService::ResultFuture> futures;
+        for (size_t q = 0; q < specs.size(); ++q) {
+          auto future =
+              svc.Submit(q % 2 == 0 ? client_a : client_b, specs[q]);
+          ASSERT_OK(future.status());
+          futures.push_back(std::move(*future));
+        }
+        for (size_t q = 0; q < futures.size(); ++q) {
+          Result<exec::ScanResult> batched = futures[q].get();
+          ASSERT_OK(batched.status()) << "query " << q;
+          auto solo = exec::Scan(*snap, specs[q]);
+          ASSERT_OK(solo.status()) << "query " << q;
+          EXPECT_TRUE(ScanOutputsEqual(*batched, *solo)) << "query " << q;
+        }
+      };
+      run_pass("cold");
+      svc.Flush();
+      if (leg.warm) {
+        // The warm pass replays the identical workload at the same version:
+        // every spec was cached by the cold pass, so nothing executes anew.
+        const uint64_t executed_cold = svc.stats().queries_executed;
+        run_pass("warm");
+        const service::ServiceStats stats = svc.stats();
+        EXPECT_EQ(stats.queries_executed, executed_cold);
+        EXPECT_GE(stats.result_cache_hits, specs.size());
       }
-      for (size_t q = 0; q < futures.size(); ++q) {
-        Result<exec::ScanResult> batched = futures[q].get();
-        ASSERT_OK(batched.status()) << "query " << q;
-        auto solo = exec::Scan(*snap, specs[q]);
-        ASSERT_OK(solo.status()) << "query " << q;
-        EXPECT_TRUE(ScanOutputsEqual(*batched, *solo)) << "query " << q;
-      }
-    };
-    run_pass("cold");
-    svc.Flush();
-    // The warm pass replays the identical workload at the same version:
-    // every spec was cached by the cold pass, so nothing executes anew.
-    const uint64_t executed_cold = svc.stats().queries_executed;
-    run_pass("warm");
-    const service::ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.queries_executed, executed_cold);
-    EXPECT_GE(stats.result_cache_hits, specs.size());
-    svc.Stop();
+      svc.Stop();
+    }
   }
 }
 
@@ -339,7 +368,7 @@ TEST(ServiceConcurrencyTest, DecodedCacheEvictionRacesDecodesSafely) {
   // A 1-byte budget keeps every settled cell permanently over budget, so
   // the evictor thread is always trying to rip cells out while decoders
   // and straggler waiters latch onto them.
-  service::DecodedChunkCache cache(/*max_bytes=*/1);
+  service::DecodedChunkCache cache(/*budget=*/1);
   std::atomic<bool> stop{false};
   std::thread evictor([&] {
     while (!stop.load(std::memory_order_acquire)) {
@@ -355,8 +384,9 @@ TEST(ServiceConcurrencyTest, DecodedCacheEvictionRacesDecodesSafely) {
         for (uint64_t c = 0; c < num_chunks; ++c) {
           // Stagger start points so threads collide on different cells.
           const uint64_t chunk = (c + t * 4) % num_chunks;
-          auto values = cache.GetOrDecode(/*version=*/1, /*column=*/0, chunk,
-                                          chunked.chunk(chunk).column);
+          auto values = cache.GetOrCompute(/*version=*/1, /*key=*/chunk, [&] {
+            return FusedDecompress(chunked.chunk(chunk).column);
+          });
           ASSERT_OK(values.status());
           ASSERT_NE(*values, nullptr);
           // A cell evicted out from under its decoder (or a waiter) would
@@ -373,10 +403,10 @@ TEST(ServiceConcurrencyTest, DecodedCacheEvictionRacesDecodesSafely) {
   // With every decode settled, one final pass must drain the cache to
   // nothing — and the byte ledger must land on exactly zero. Pre-fix, a
   // cell evicted mid-decode leaked its bytes forever: the map emptied but
-  // bytes() stayed stuck above the budget with nothing left to evict.
+  // the ledger stayed stuck above the budget with nothing left to evict.
   cache.EvictToBudget();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.cost(), 0u);
 }
 
 }  // namespace

@@ -261,39 +261,41 @@ TEST(ServiceTest, SelectionCacheHitsAcrossQueriesAndInvalidatesOnVersion) {
   SelectionVectorCache cache(/*capacity=*/8);
   service::CachedSelection entry;
   entry.selection.positions = {1, 5, 9};
-  entry.values = {11, 15, 19};
+  entry.values = Column<uint32_t>{11, 15, 19};
   const SelectionKey key{0, 2, 10, 20};
 
-  service::CachedSelection out;
-  EXPECT_FALSE(cache.Lookup(1, key, &out));
+  EXPECT_EQ(cache.Find(1, key), nullptr);
   cache.Insert(1, key, entry);
-  ASSERT_TRUE(cache.Lookup(1, key, &out));
-  EXPECT_EQ(out.selection.positions, entry.selection.positions);
-  EXPECT_EQ(out.values, entry.values);
+  const SelectionVectorCache::Handle out = cache.Find(1, key);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->selection.positions, entry.selection.positions);
+  EXPECT_EQ(out->values.As<uint32_t>(), entry.values.As<uint32_t>());
   EXPECT_EQ(cache.size(), 1u);
 
   // A newer version purges everything; the old entry is gone even when the
   // old version asks again (stale versions never resurrect).
-  EXPECT_FALSE(cache.Lookup(2, key, &out));
+  EXPECT_EQ(cache.Find(2, key), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.version(), 2u);
-  EXPECT_FALSE(cache.Lookup(1, key, &out));
+  EXPECT_EQ(cache.Find(1, key), nullptr);
   cache.Insert(1, key, entry);  // Stale insert: dropped.
   EXPECT_EQ(cache.size(), 0u);
 
-  // FIFO eviction at capacity.
+  // FIFO eviction at capacity, once the batch ends.
   for (uint64_t i = 0; i < 10; ++i) {
     cache.Insert(3, {0, i, 0, 5}, entry);
   }
+  cache.EvictToBudget();
   EXPECT_EQ(cache.size(), 8u);
-  EXPECT_FALSE(cache.Lookup(3, {0, 0, 0, 5}, &out));  // Oldest two evicted.
-  EXPECT_FALSE(cache.Lookup(3, {0, 1, 0, 5}, &out));
-  EXPECT_TRUE(cache.Lookup(3, {0, 2, 0, 5}, &out));
+  EXPECT_EQ(cache.Find(3, {0, 0, 0, 5}), nullptr);  // Oldest two evicted.
+  EXPECT_EQ(cache.Find(3, {0, 1, 0, 5}), nullptr);
+  EXPECT_NE(cache.Find(3, {0, 2, 0, 5}), nullptr);
 
-  // Capacity 0 disables caching entirely.
+  // Capacity 0 keeps nothing past the batch.
   SelectionVectorCache disabled(0);
   disabled.Insert(1, key, entry);
-  EXPECT_FALSE(disabled.Lookup(1, key, &out));
+  disabled.EvictToBudget();
+  EXPECT_EQ(disabled.Find(1, key), nullptr);
   EXPECT_EQ(disabled.size(), 0u);
 }
 
@@ -493,41 +495,44 @@ TEST(ServiceTest, ResultCacheBudgetsBytesAndInvalidatesOnVersion) {
   result.rows_scanned = 100;
   result.rows_matched = 3;
   result.positions = {1, 5, 9};
-  const uint64_t entry_bytes = service::ResultCache::ApproxResultBytes(result);
+  const uint64_t entry_bytes = service::ApproxResultBytes(result);
   ASSERT_GT(entry_bytes, 0u);
 
-  // Room for two entries, not three: the third insert evicts the oldest.
+  // Room for two entries, not three: the window's end evicts the oldest.
   service::ResultCache cache(2 * entry_bytes + entry_bytes / 2);
-  exec::ScanResult out;
-  EXPECT_FALSE(cache.Lookup(1, "a", &out));
+  EXPECT_EQ(cache.Find(1, "a"), nullptr);
   cache.Insert(1, "a", result);
-  ASSERT_TRUE(cache.Lookup(1, "a", &out));
-  EXPECT_EQ(out.positions, result.positions);
-  EXPECT_EQ(out.rows_matched, result.rows_matched);
+  const service::ResultCache::Handle out = cache.Find(1, "a");
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->positions, result.positions);
+  EXPECT_EQ(out->rows_matched, result.rows_matched);
   cache.Insert(1, "b", result);
   EXPECT_EQ(cache.size(), 2u);
   cache.Insert(1, "c", result);
+  cache.EvictToBudget();
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.Lookup(1, "a", &out));  // FIFO: oldest evicted.
-  EXPECT_TRUE(cache.Lookup(1, "b", &out));
-  EXPECT_TRUE(cache.Lookup(1, "c", &out));
-  EXPECT_LE(cache.bytes(), 2 * entry_bytes + entry_bytes / 2);
+  EXPECT_EQ(cache.Find(1, "a"), nullptr);  // FIFO: oldest evicted.
+  EXPECT_NE(cache.Find(1, "b"), nullptr);
+  EXPECT_NE(cache.Find(1, "c"), nullptr);
+  EXPECT_LE(cache.cost(), 2 * entry_bytes + entry_bytes / 2);
 
   // A newer version purges everything; stale inserts never resurrect.
-  EXPECT_FALSE(cache.Lookup(2, "b", &out));
+  EXPECT_EQ(cache.Find(2, "b"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.cost(), 0u);
   EXPECT_EQ(cache.version(), 2u);
   cache.Insert(1, "stale", result);
   EXPECT_EQ(cache.size(), 0u);
 
-  // An entry alone exceeding the budget is never cached; 0 disables.
+  // An entry alone exceeding the budget is not kept; 0 keeps nothing.
   service::ResultCache tiny(8);
   tiny.Insert(1, "big", result);
+  tiny.EvictToBudget();
   EXPECT_EQ(tiny.size(), 0u);
   service::ResultCache disabled(0);
   disabled.Insert(1, "x", result);
-  EXPECT_FALSE(disabled.Lookup(1, "x", &out));
+  disabled.EvictToBudget();
+  EXPECT_EQ(disabled.Find(1, "x"), nullptr);
 }
 
 TEST(ServiceTest, ResultCacheServesRepeatedSpecsWithoutExecuting) {
