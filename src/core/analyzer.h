@@ -35,6 +35,9 @@ struct AnalyzerOptions {
   /// Candidates whose estimated decompression cost (ops/value) exceeds this
   /// are dropped — the paper's ratio-for-speed axis as a knob.
   double max_cost_per_value = std::numeric_limits<double>::infinity();
+
+  /// Equal options choose alike for equal rows: the search is deterministic.
+  bool operator==(const AnalyzerOptions&) const = default;
 };
 
 /// Prices the candidate set for `input` (an unsigned plain column) and

@@ -120,16 +120,34 @@ std::string ChunkedCompressedColumn::ToString() const {
   return out;
 }
 
+Result<CompressedChunk> SealChunk(const AnyColumn& rows, const ZoneMap& zone,
+                                  const std::optional<SchemeDescriptor>& pin,
+                                  const AnalyzerOptions& analyzer) {
+  CompressedChunk chunk;
+  chunk.zone = zone;
+  if (pin.has_value()) {
+    RECOMP_ASSIGN_OR_RETURN(chunk.column, Compress(rows, *pin));
+    return chunk;
+  }
+  RECOMP_ASSIGN_OR_RETURN(const SchemeDescriptor desc,
+                          ChooseScheme(rows, analyzer));
+  RECOMP_ASSIGN_OR_RETURN(chunk.column, Compress(rows, desc));
+  // Set against analyzer.estimated_bytes: drift is the cost model lying.
+  static obs::Counter& actual =
+      obs::Registry::Get().GetCounter("analyzer.actual_bytes");
+  actual.Add(chunk.column.PayloadBytes());
+  return chunk;
+}
+
 namespace {
 
 /// Shared shape of CompressChunked / CompressChunkedAuto: validate, fan the
 /// chunk indices out over `ctx` into pre-sized slots (so workers never
-/// contend), compress each slice with the descriptor `choose` picks for it,
-/// then assemble in chunk order.
-template <typename ChooseFn>
+/// contend), seal each slice, then assemble in chunk order.
 Result<ChunkedCompressedColumn> CompressChunkedImpl(
     const AnyColumn& input, const ChunkingOptions& options,
-    const ExecContext& ctx, const ChooseFn& choose) {
+    const ExecContext& ctx, const std::optional<SchemeDescriptor>& pin,
+    const AnalyzerOptions& analyzer) {
   if (options.chunk_rows == 0) {
     return Status::InvalidArgument("chunk_rows must be positive");
   }
@@ -147,11 +165,7 @@ Result<ChunkedCompressedColumn> CompressChunkedImpl(
         const uint64_t begin = i * options.chunk_rows;
         const uint64_t end = std::min<uint64_t>(n, begin + options.chunk_rows);
         RECOMP_ASSIGN_OR_RETURN(AnyColumn slice, SliceRows(input, begin, end));
-        RECOMP_ASSIGN_OR_RETURN(SchemeDescriptor desc, choose(slice));
-        CompressedChunk chunk;
-        chunk.zone = ComputeZoneMap(slice, begin);
-        RECOMP_ASSIGN_OR_RETURN(chunk.column, Compress(slice, desc));
-        return chunk;
+        return SealChunk(slice, ComputeZoneMap(slice, begin), pin, analyzer);
       }));
   ChunkedCompressedColumn out;
   for (CompressedChunk& slot : slots) {
@@ -166,9 +180,7 @@ Result<ChunkedCompressedColumn> CompressChunked(const AnyColumn& input,
                                                 const SchemeDescriptor& desc,
                                                 const ChunkingOptions& options,
                                                 const ExecContext& ctx) {
-  return CompressChunkedImpl(
-      input, options, ctx,
-      [&](const AnyColumn&) -> Result<SchemeDescriptor> { return desc; });
+  return CompressChunkedImpl(input, options, ctx, desc, {});
 }
 
 Result<ChunkedCompressedColumn> CompressChunkedAuto(
@@ -177,19 +189,8 @@ Result<ChunkedCompressedColumn> CompressChunkedAuto(
   // Slice each chunk once and both analyze and compress it, instead of
   // going through ChooseSchemesChunked (which would slice everything a
   // second time just to return descriptors).
-  Result<ChunkedCompressedColumn> out = CompressChunkedImpl(
-      input, options, ctx,
-      [&](const AnyColumn& slice) -> Result<SchemeDescriptor> {
-        return ChooseScheme(slice, analyzer_options);
-      });
-  if (out.ok() && obs::Enabled()) {
-    // The realized counterpart of analyzer.estimated_bytes (ChooseScheme):
-    // the two drifting apart is the cost model lying.
-    static obs::Counter& actual =
-        obs::Registry::Get().GetCounter("analyzer.actual_bytes");
-    actual.Add(out->PayloadBytes());
-  }
-  return out;
+  return CompressChunkedImpl(input, options, ctx, std::nullopt,
+                             analyzer_options);
 }
 
 Result<AnyColumn> DecompressChunked(const ChunkedCompressedColumn& chunked,

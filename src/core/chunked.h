@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,15 @@ struct CompressedChunk {
 /// exec operators reject signed columns anyway, matching the whole-column
 /// operators.
 ZoneMap ComputeZoneMap(const AnyColumn& slice, uint64_t row_begin);
+
+/// Seals `rows` (a plain slice; `zone` is ComputeZoneMap's result for it)
+/// into one chunk: compressed with `pin` when set, else with the analyzer's
+/// choice under `analyzer`, whose payload is counted into
+/// analyzer.actual_bytes (the realized side of ChooseScheme's estimate).
+/// CompressChunked(Auto), seal jobs and recompression all seal here.
+Result<CompressedChunk> SealChunk(const AnyColumn& rows, const ZoneMap& zone,
+                                  const std::optional<SchemeDescriptor>& pin,
+                                  const AnalyzerOptions& analyzer = {});
 
 /// A column stored as a sequence of contiguous, independently compressed
 /// chunks. Chunks may use different descriptors; the logical column is their

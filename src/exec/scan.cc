@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -215,9 +216,13 @@ class DefaultChunkPipeline final : public ChunkPipeline {
       const std::vector<const ChunkedCompressedColumn*>& columns)
       : columns_(columns) {}
 
-  Result<SelectionResult> SelectChunk(uint64_t column, uint64_t chunk,
-                                      const RangePredicate& predicate) override {
-    return SelectCompressed(columns_[column]->chunk(chunk).column, predicate);
+  Result<std::shared_ptr<const SelectionResult>> SelectChunk(
+      uint64_t column, uint64_t chunk,
+      const RangePredicate& predicate) override {
+    RECOMP_ASSIGN_OR_RETURN(
+        SelectionResult selection,
+        SelectCompressed(columns_[column]->chunk(chunk).column, predicate));
+    return std::make_shared<const SelectionResult>(std::move(selection));
   }
 
   Result<GatherResult> GatherRows(uint64_t column,
@@ -405,10 +410,10 @@ Result<ScanResult> ScanColumns(
 
     // Phase 2: run the per-chunk strategies for the needed pairs,
     // concurrently under ctx, each into its own slot.
-    std::vector<SelectionResult> slots;
+    std::vector<std::shared_ptr<const SelectionResult>> slots;
     RECOMP_RETURN_NOT_OK(VisitIndicesInto(
         ctx, static_cast<uint64_t>(exec_pairs.size()), &slots,
-        [&](uint64_t p) -> Result<SelectionResult> {
+        [&](uint64_t p) -> Result<std::shared_ptr<const SelectionResult>> {
           const auto [f, c] = exec_pairs[p];
           return pipeline.SelectChunk(filters[f].column, c,
                                       filters[f].predicate);
@@ -433,7 +438,7 @@ Result<ScanResult> ScanColumns(
             ++stats.chunks_full;
             break;
           case ChunkAction::kExecute: {
-            SelectionResult& sub = slots[slot_of[f][c]];
+            const SelectionResult& sub = *slots[slot_of[f][c]];
             ++stats.chunks_executed;
             ++stats.strategy_chunks[static_cast<int>(sub.stats.strategy)];
             stats.values_decoded += sub.stats.values_decoded;
@@ -458,7 +463,7 @@ Result<ScanResult> ScanColumns(
         const uint64_t c = owner[f][r];
         if (chunk_action[f][c] == ChunkAction::kFull) continue;
         if (constrained && sel.empty()) break;
-        const SelectionResult& cached = slots[slot_of[f][c]];
+        const SelectionResult& cached = *slots[slot_of[f][c]];
         const uint64_t base =
             columns[filters[f].column]->chunk(c).zone.row_begin;
         // The chunk's hits are sorted and chunk-local: binary-search the

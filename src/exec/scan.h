@@ -22,6 +22,7 @@
 #define RECOMP_EXEC_SCAN_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,8 +172,9 @@ class ChunkPipeline {
 
   /// Evaluates `predicate` over chunk `chunk` of column `column`, returning
   /// chunk-local sorted positions. Called only for chunks the zone maps
-  /// could neither prune nor contain, each needed pair exactly once.
-  virtual Result<SelectionResult> SelectChunk(
+  /// could neither prune nor contain, each needed pair exactly once. Shared
+  /// and immutable, so a cached selection is handed out without a copy.
+  virtual Result<std::shared_ptr<const SelectionResult>> SelectChunk(
       uint64_t column, uint64_t chunk, const RangePredicate& predicate) = 0;
 
   /// Gathers the values of `column` at the global `rows` (ascending), in

@@ -61,13 +61,16 @@ class SharedScanPipeline final : public exec::ChunkPipeline {
     if (subsume_) BuildLattice(snapshot, specs);
   }
 
-  Result<exec::SelectionResult> SelectChunk(
+  Result<std::shared_ptr<const exec::SelectionResult>> SelectChunk(
       uint64_t column, uint64_t chunk,
       const exec::RangePredicate& predicate) override {
     chunk_evaluations_.fetch_add(1, std::memory_order_relaxed);
-    RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const CachedSelection> entry,
+    RECOMP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedSelection> entry,
                             EvalBand(column, chunk, predicate));
-    return entry->selection;
+    // Aliases the cache entry: the selection lives as long as the entry.
+    const exec::SelectionResult* selection = &entry->selection;
+    return std::shared_ptr<const exec::SelectionResult>(std::move(entry),
+                                                        selection);
   }
 
   Result<exec::GatherResult> GatherRows(uint64_t column,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/pipeline.h"
 #include "core/serialize.h"
 #include "obs/metrics.h"
 #include "schemes/scheme_internal.h"
@@ -22,7 +21,6 @@ struct StoreMetrics {
   obs::Counter* seal_cas_lost;
   obs::Counter* seal_failed;
   obs::Gauge* stored_plain_backlog;
-  obs::Counter* analyzer_actual_bytes;
 
   static const StoreMetrics& Get() {
     static const StoreMetrics metrics = [] {
@@ -34,8 +32,6 @@ struct StoreMetrics {
       m.seal_failed = &registry.GetCounter("store.seal.failed");
       m.stored_plain_backlog =
           &registry.GetGauge("store.stored_plain_backlog");
-      m.analyzer_actual_bytes =
-          &registry.GetCounter("analyzer.actual_bytes");
       return m;
     }();
     return metrics;
@@ -252,15 +248,15 @@ Result<std::vector<uint8_t>> AppendableColumn::Serialize() {
 Status AppendableColumn::RollTailLocked(std::vector<SealJob>* jobs) {
   SealJob job;
   job.slot = slots_.size();
-  job.zone = ComputeZoneMap(tail_, tail_begin_);
+  const ZoneMap zone = ComputeZoneMap(tail_, tail_begin_);
   // Until the seal job lands, the chunk is served as a stored-plain ID
   // envelope — same rows, zero decode work, real zone map. The tail moves
   // into the envelope; the job compresses from that shared immutable copy.
   AnyColumn rows = std::move(tail_);
   RECOMP_ASSIGN_OR_RETURN(tail_, EmptyColumnOfType(type_));
   job.source = std::make_shared<const CompressedChunk>(
-      CompressedChunk{job.zone, WrapPlainAsId(std::move(rows))});
-  tail_begin_ += job.zone.row_count;
+      CompressedChunk{zone, WrapPlainAsId(std::move(rows))});
+  tail_begin_ += zone.row_count;
   slots_.push_back(job.source);
   slot_states_.emplace_back();
   StoreMetrics::Get().stored_plain_backlog->Add(1);
@@ -268,38 +264,42 @@ Status AppendableColumn::RollTailLocked(std::vector<SealJob>* jobs) {
   return Status::OK();
 }
 
+AppendableColumn::ChunkInfo AppendableColumn::InfoLocked(uint64_t slot) const {
+  const SlotState& state = slot_states_[slot];
+  ChunkInfo info;
+  info.slot = slot;
+  info.chunk = slots_[slot];
+  info.sealed = state.sealed;
+  info.recompress_pending = state.recompress_pending;
+  info.age_chunks = slots_.size() - slot - 1;
+  info.snapshot_accesses = state.access_count;
+  info.recompress_count = state.recompress_count;
+  info.judged_under = state.judged_under;
+  return info;
+}
+
 std::vector<AppendableColumn::ChunkInfo> AppendableColumn::ChunkInfos() const {
   std::vector<ChunkInfo> infos;
   MutexLock lock(&mu_);
   infos.reserve(slots_.size());
-  for (uint64_t i = 0; i < slots_.size(); ++i) {
-    ChunkInfo info;
-    info.slot = i;
-    info.chunk = slots_[i];
-    info.sealed = slot_states_[i].sealed;
-    info.recompress_pending = slot_states_[i].recompress_pending;
-    info.age_chunks = slots_.size() - i - 1;
-    info.snapshot_accesses = slot_states_[i].access_count;
-    info.recompress_count = slot_states_[i].recompress_count;
-    infos.push_back(std::move(info));
-  }
+  for (uint64_t i = 0; i < slots_.size(); ++i) infos.push_back(InfoLocked(i));
   return infos;
 }
 
-std::shared_ptr<const CompressedChunk> AppendableColumn::TryBeginRecompress(
-    uint64_t slot, bool* sealed) {
+std::optional<AppendableColumn::ChunkInfo>
+AppendableColumn::TryBeginRecompress(uint64_t slot) {
   MutexLock lock(&mu_);
   if (slot >= slots_.size() || slot_states_[slot].recompress_pending) {
-    return nullptr;
+    return std::nullopt;
   }
   slot_states_[slot].recompress_pending = true;
-  if (sealed != nullptr) *sealed = slot_states_[slot].sealed;
-  return slots_[slot];
+  return InfoLocked(slot);
 }
 
 bool AppendableColumn::CompleteRecompress(
     uint64_t slot, const std::shared_ptr<const CompressedChunk>& expected,
-    CompressedChunk replacement) {
+    CompressedChunk replacement,
+    const std::optional<AnalyzerOptions>& judged_under) {
   // Built outside the lock: the swap itself is O(1) pointer work.
   auto chunk =
       std::make_shared<const CompressedChunk>(std::move(replacement));
@@ -317,6 +317,7 @@ bool AppendableColumn::CompleteRecompress(
       ++sealed_count_;
       StoreMetrics::Get().stored_plain_backlog->Subtract(1);
     }
+    state.judged_under = judged_under;
     ++state.recompress_count;
     swapped = true;
   }
@@ -337,43 +338,38 @@ bool AppendableColumn::CompleteRecompress(
   return swapped;
 }
 
-void AppendableColumn::AbortRecompress(uint64_t slot) {
+void AppendableColumn::AbortRecompress(
+    uint64_t slot, const std::optional<AnalyzerOptions>& judged_under) {
   MutexLock lock(&mu_);
   // Any parked seal failure stays parked (the slot is still unsealed and
   // slot_failure_status_ already surfaces it); only the claim is released.
   slot_states_[slot].recompress_pending = false;
+  if (judged_under.has_value()) slot_states_[slot].judged_under = judged_under;
 }
 
 void AppendableColumn::ScheduleSealJobs(std::vector<SealJob> jobs) {
   for (SealJob& job : jobs) {
-    seal_jobs_.Run(ctx_, [this, job = std::move(job)]() mutable {
+    seal_jobs_.Run(ctx_, [this, job = std::move(job)]() {
       const StoreMetrics& metrics = StoreMetrics::Get();
       const uint64_t start_ns = obs::MonotonicNanos();
       // The expensive part — scheme search + compression — runs without the
       // lock; only the slot swap takes it.
-      Result<CompressedColumn> compressed = [&]() -> Result<CompressedColumn> {
-        const AnyColumn& rows =
-            *job.source->column.root().parts.at("data").column;
-        SchemeDescriptor desc;
-        if (options_.descriptor.has_value()) {
-          desc = *options_.descriptor;
-        } else {
-          RECOMP_ASSIGN_OR_RETURN(desc,
-                                  ChooseScheme(rows, options_.analyzer));
-        }
-        return Compress(rows, desc);
-      }();
-      if (compressed.ok() && !options_.descriptor.has_value()) {
-        // The realized size of an analyzer choice (see ChooseScheme).
-        metrics.analyzer_actual_bytes->Add(compressed->PayloadBytes());
-      }
+      Result<CompressedChunk> compressed =
+          SealChunk(*StoredPlainData(job.source->column.root()),
+                    job.source->zone, options_.descriptor, options_.analyzer);
       metrics.seal_ns->Record(obs::MonotonicNanos() - start_ns);
       MutexLock lock(&mu_);
+      SlotState& state = slot_states_[job.slot];
       if (compressed.ok()) {
         if (slots_[job.slot] == job.source) {
-          slots_[job.slot] = std::make_shared<const CompressedChunk>(
-              CompressedChunk{job.zone, std::move(*compressed)});
-          slot_states_[job.slot].sealed = true;
+          slots_[job.slot] =
+              std::make_shared<const CompressedChunk>(std::move(*compressed));
+          state.sealed = true;
+          // A pinned seal is no analyzer's judgement: a policy that may
+          // override the pin still prices the chunk.
+          if (!options_.descriptor.has_value()) {
+            state.judged_under = options_.analyzer;
+          }
           ++sealed_count_;
           metrics.stored_plain_backlog->Subtract(1);
           metrics.seal_completed->Increment();
@@ -385,7 +381,6 @@ void AppendableColumn::ScheduleSealJobs(std::vector<SealJob> jobs) {
         }
       } else {
         metrics.seal_failed->Increment();
-        SlotState& state = slot_states_[job.slot];
         if (!state.sealed) {
           // The slot keeps serving the stored-plain form (still correct);
           // the failure surfaces on the next append/seal/snapshot — parked

@@ -14,8 +14,8 @@
 // Slots stay revisitable after sealing: the background recompressor
 // (store/recompress.h) can claim a slot, re-run the analyzer off the scan
 // path, and swap in a better envelope via the same pointer-replacement
-// mechanism seal jobs use — per-slot access/age statistics (ChunkInfos)
-// feed its candidate selection.
+// mechanism seal jobs use — each slot's judged record and access/age
+// statistics (ChunkInfos) feed its candidate selection.
 //
 // Reads go through Snapshot(): a copy-on-write view that shares the sealed
 // chunks by reference (O(chunks), no payload copies — see the shared-chunk
@@ -137,6 +137,12 @@ class AppendableColumn {
     uint64_t snapshot_accesses = 0;
     /// Successful recompression swaps of this slot so far.
     uint64_t recompress_count = 0;
+    /// The analyzer options that last searched this chunk: the seal or swap
+    /// that chose its envelope, or a recompression attempt that kept it or
+    /// failed (unset until an analyzer searched it; a pinned seal records
+    /// nothing). Rows never change, so a search under equal options would
+    /// conclude the same.
+    std::optional<AnalyzerOptions> judged_under;
   };
 
   /// All rolled chunks' info, in slot (row) order. O(chunks).
@@ -145,34 +151,36 @@ class AppendableColumn {
   // --- Recompression handshake (driven by store/recompress.h) ------------
   //
   // A recompression attempt is claim → (analyze + compress off-lock) →
-  // Complete or Abort. The claim only excludes *other recompression
-  // attempts*; the original seal job may still be in flight, so both the
-  // seal landing and CompleteRecompress swap the slot only if it still
-  // holds the envelope they started from — whoever lands second observes
-  // the pointer changed and drops its result. Readers are never involved:
-  // snapshots hold shared_ptr copies, so an in-flight scan keeps the chunk
-  // it pinned while new snapshots see the swapped slot.
+  // Complete or Abort; either may record the analyzer options that judged
+  // the slot (ChunkInfo::judged_under). The claim only excludes *other
+  // recompression attempts*; the original seal job may still be in flight,
+  // so both the seal landing and CompleteRecompress swap the slot only if
+  // it still holds the envelope they started from — whoever lands second
+  // observes the pointer changed and drops its result. Readers are never
+  // involved: snapshots hold shared_ptr copies, so an in-flight scan keeps
+  // the chunk it pinned while new snapshots see the swapped slot.
 
-  /// Claims `slot` for one recompression attempt and returns the observed
-  /// chunk, or nullptr when the slot is out of range or already claimed.
-  /// `sealed`, when given, receives the slot's sealed state at claim time —
-  /// the state candidate selection saw may be stale by now (a seal job can
-  /// land in between), and the backlog-vs-revisit distinction must be made
-  /// against the claimed envelope.
-  std::shared_ptr<const CompressedChunk> TryBeginRecompress(
-      uint64_t slot, bool* sealed = nullptr);
+  /// Claims `slot` for one recompression attempt and returns the slot as
+  /// the claim observed it, or nullopt when the slot is out of range or
+  /// already claimed. What candidate selection saw may be stale by now (a
+  /// seal job can land in between), so the caller re-checks against this.
+  std::optional<ChunkInfo> TryBeginRecompress(uint64_t slot);
 
   /// Ends a claimed attempt by swapping `replacement` into the slot iff it
   /// still holds `expected`. On swap, marks the slot sealed (a stored-plain
-  /// backlog chunk counts as sealed from here on) and bumps its
-  /// recompression count. Returns whether the swap happened.
+  /// backlog chunk counts as sealed from here on), records `judged_under`
+  /// (unset for a pinned re-seal) and bumps its recompression count.
+  /// Returns whether the swap happened.
   bool CompleteRecompress(uint64_t slot,
                           const std::shared_ptr<const CompressedChunk>& expected,
-                          CompressedChunk replacement);
+                          CompressedChunk replacement,
+                          const std::optional<AnalyzerOptions>& judged_under);
 
   /// Ends a claimed attempt without swapping (no gain, or the attempt
-  /// failed — the old envelope stays correct either way).
-  void AbortRecompress(uint64_t slot);
+  /// failed — the old envelope stays correct either way). `judged_under`,
+  /// when set, records the analyzer options the attempt searched under.
+  void AbortRecompress(uint64_t slot,
+                       const std::optional<AnalyzerOptions>& judged_under = {});
 
   /// The ingest/seal status: OK, or the first failure (which every
   /// subsequent append/seal/snapshot also reports). Construction and
@@ -217,7 +225,6 @@ class AppendableColumn {
   struct SealJob {
     uint64_t slot = 0;
     std::shared_ptr<const CompressedChunk> source;
-    ZoneMap zone;
   };
 
   /// Rolls the non-empty tail into slot `slots_.size()` (served as an ID
@@ -232,13 +239,17 @@ class AppendableColumn {
   const IngestOptions options_;
   const ExecContext ctx_;
 
-  /// Bookkeeping for one slot: seal/claim state plus the access statistics
+  /// Slot `slot` as ChunkInfos reports it.
+  ChunkInfo InfoLocked(uint64_t slot) const RECOMP_REQUIRES(mu_);
+
+  /// Bookkeeping for one slot: seal/claim state plus the statistics
   /// ChunkInfos reports. Guarded by mu_.
   struct SlotState {
     bool sealed = false;
     bool recompress_pending = false;
     uint64_t access_count = 0;
     uint64_t recompress_count = 0;
+    std::optional<AnalyzerOptions> judged_under;
     /// This slot's seal-job failure, parked per slot rather than written
     /// straight into a column-wide sticky status: the failure surfaces
     /// immediately (slot_failure_status_ mirrors the first parked failure),

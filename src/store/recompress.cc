@@ -1,11 +1,10 @@
 #include "store/recompress.h"
 
-#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "core/chunked.h"
 #include "core/fused.h"
-#include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "util/string_util.h"
 
@@ -92,29 +91,61 @@ struct RecompressMetrics {
   }
 };
 
+/// Whether `info` is worth a job under `policy`: a backlog chunk whenever
+/// something can compress it, a sealed chunk when the policy may revisit it
+/// and it is not yet judged under the policy's analyzer options.
+bool Wanted(const AppendableColumn::ChunkInfo& info,
+            const AppendableColumn& column, const RecompressionPolicy& policy) {
+  if (info.age_chunks < policy.min_age_chunks) return false;
+  const bool pinned = column.options().descriptor.has_value();
+  const bool analyzable = TypeIdIsUnsigned(column.type());
+  if (!info.sealed) return pinned || analyzable;
+  return analyzable && (!pinned || policy.recompress_pinned) &&
+         info.judged_under != policy.analyzer;
+}
+
 /// One recompression attempt over an already-claimed slot. Runs entirely
 /// without the column lock: rows come from the claimed (immutable) chunk,
 /// the swap at the end is the only locked step.
-JobOutcome RecompressOne(AppendableColumn& column, uint64_t slot,
-                         const std::shared_ptr<const CompressedChunk>& claimed,
-                         bool claimed_sealed,
+JobOutcome RecompressOne(AppendableColumn& column,
+                         const AppendableColumn::ChunkInfo& claim,
                          const RecompressionPolicy& policy,
                          const std::string& column_name) {
   const RecompressMetrics& metrics = RecompressMetrics::Get();
   const uint64_t start_ns = obs::MonotonicNanos();
+
+  // The fresh choice: a pinned backlog chunk finishes its seal job's work
+  // with the pinned descriptor — unless the policy may override pins
+  // (recompress_pinned, with analyzable data), which is also how a column
+  // whose pin cannot represent its rows (a failed seal job) gets healed.
+  // Everything else re-runs the analyzer under the policy's constraints,
+  // and that attempt judges the slot whatever it concludes (swap, keep or
+  // failure): rows never change, so the same search concludes the same.
+  std::optional<SchemeDescriptor> pin;
+  if (!claim.sealed &&
+      !(policy.recompress_pinned && TypeIdIsUnsigned(column.type()))) {
+    pin = column.options().descriptor;
+  }
+  std::optional<AnalyzerOptions> judged;
+  if (!pin.has_value()) judged = policy.analyzer;
+
   JobOutcome outcome;
-  const auto fail = [&]() {
-    column.AbortRecompress(slot);
-    outcome.kind = JobOutcome::Kind::kFailed;
-    metrics.failed->Increment();
+  // Ends the attempt without a swap (a failure, or a chunk kept).
+  const auto release = [&](JobOutcome::Kind kind, obs::Counter* counter) {
+    column.AbortRecompress(claim.slot, judged);
+    outcome.kind = kind;
+    counter->Increment();
     metrics.job_ns->Record(obs::MonotonicNanos() - start_ns);
     return outcome;
+  };
+  const auto fail = [&] {
+    return release(JobOutcome::Kind::kFailed, metrics.failed);
   };
 
   // The rows this chunk decodes to. Stored-plain envelopes are read in
   // place; everything else decompresses (one chunk's worth of work, on a
   // maintenance thread).
-  const CompressedColumn& current = claimed->column;
+  const CompressedColumn& current = claim.chunk->column;
   Result<AnyColumn> decompressed = AnyColumn();
   const AnyColumn* rows = StoredPlainData(current.root());
   if (rows == nullptr) {
@@ -123,56 +154,38 @@ JobOutcome RecompressOne(AppendableColumn& column, uint64_t slot,
     rows = &*decompressed;
   }
 
-  // The fresh choice: a pinned backlog chunk finishes its seal job's work
-  // with the pinned descriptor — unless the policy may override pins
-  // (recompress_pinned, with analyzable data), which is also how a column
-  // whose pin cannot represent its rows (a failed seal job) gets healed.
-  // Everything else re-runs the analyzer under the policy's constraints.
-  SchemeDescriptor desc;
-  const bool finish_pinned_seal =
-      !claimed_sealed && column.options().descriptor.has_value() &&
-      !(policy.recompress_pinned && TypeIdIsUnsigned(column.type()));
-  if (finish_pinned_seal) {
-    desc = *column.options().descriptor;
-  } else {
-    Result<SchemeDescriptor> choice = ChooseScheme(*rows, policy.analyzer);
-    if (!choice.ok()) return fail();
-    desc = std::move(*choice);
-  }
-
-  Result<CompressedColumn> next = Compress(*rows, desc);
+  // The zone map is re-derived from the rows, not trusted from the old
+  // envelope.
+  Result<CompressedChunk> next =
+      SealChunk(*rows, ComputeZoneMap(*rows, claim.chunk->zone.row_begin),
+                pin, policy.analyzer);
   if (!next.ok()) return fail();
 
   const uint64_t bytes_before = current.PayloadBytes();
-  const uint64_t bytes_after = next->PayloadBytes();
+  const uint64_t bytes_after = next->column.PayloadBytes();
   // Backlog chunks are always taken (sealing them is the point, and their
   // stored-plain footprint is the thing being drained); sealed chunks must
   // beat the gain threshold to be worth the churn.
   const bool take =
-      !claimed_sealed || static_cast<double>(bytes_before) >
-                             static_cast<double>(bytes_after) * policy.min_gain;
+      !claim.sealed || static_cast<double>(bytes_before) >
+                           static_cast<double>(bytes_after) * policy.min_gain;
   if (!take) {
-    column.AbortRecompress(slot);
-    outcome.kind = JobOutcome::Kind::kKept;
-    metrics.kept->Increment();
-    metrics.job_ns->Record(obs::MonotonicNanos() - start_ns);
-    return outcome;
+    // Judged even when the fresh choice is smaller by less than min_gain:
+    // a budgeted tick then moves past the slot instead of re-pricing it
+    // ahead of every other candidate.
+    return release(JobOutcome::Kind::kKept, metrics.kept);
   }
 
   outcome.swap.column = column_name;
-  outcome.swap.slot = slot;
-  outcome.swap.was_stored_plain = !claimed_sealed;
+  outcome.swap.slot = claim.slot;
+  outcome.swap.was_stored_plain = !claim.sealed;
   outcome.swap.scheme_before = current.Descriptor().ToString();
-  outcome.swap.scheme_after = next->Descriptor().ToString();
+  outcome.swap.scheme_after = next->column.Descriptor().ToString();
   outcome.swap.bytes_before = bytes_before;
   outcome.swap.bytes_after = bytes_after;
 
-  // Recomputed, not copied: the zone map is part of what a re-seal
-  // refreshes (it equals the old one — same rows — but the claim is
-  // re-derived from data, not trusted).
-  const ZoneMap zone = ComputeZoneMap(*rows, claimed->zone.row_begin);
-  const bool swapped = column.CompleteRecompress(
-      slot, claimed, CompressedChunk{zone, std::move(*next)});
+  const bool swapped = column.CompleteRecompress(claim.slot, claim.chunk,
+                                                 std::move(*next), judged);
   outcome.kind =
       swapped ? JobOutcome::Kind::kSwapped : JobOutcome::Kind::kKept;
   if (swapped) {
@@ -192,98 +205,71 @@ JobOutcome RecompressOne(AppendableColumn& column, uint64_t slot,
 Recompressor::Recompressor(RecompressionPolicy policy, ExecContext ctx)
     : policy_(std::move(policy)), ctx_(ctx) {}
 
-Result<RecompressionReport> Recompressor::Tick(AppendableColumn& column,
-                                               const std::string& column_name) {
+Result<RecompressionReport> Recompressor::Tick(
+    const NamedColumns& columns) const {
   RECOMP_RETURN_NOT_OK(policy_.Validate());
 
+  // Every column's claims first, then one group runs them all: a pass over
+  // a table waits once, not once per column.
+  struct Job {
+    AppendableColumn* column;
+    const std::string* name;
+    AppendableColumn::ChunkInfo claim;
+    JobOutcome outcome;
+  };
   RecompressionReport report;
-  const std::vector<AppendableColumn::ChunkInfo> infos = column.ChunkInfos();
-  report.chunks_examined = infos.size();
-
-  const bool pinned = column.options().descriptor.has_value();
-  const bool analyzable = TypeIdIsUnsigned(column.type());
-
-  // Candidate order: the stored-plain backlog first (slot order — those
-  // chunks pay full-width storage today), then sealed chunks.
-  std::vector<uint64_t> candidates;
-  for (const auto& info : infos) {
-    if (info.sealed || info.recompress_pending) continue;
-    if (!policy_.drain_stored_plain) continue;
-    if (info.age_chunks < policy_.min_age_chunks) continue;
-    if (!pinned && !analyzable) continue;  // Nothing could compress it.
-    candidates.push_back(info.slot);
-  }
-  std::vector<uint64_t> sealed;
-  for (const auto& info : infos) {
-    if (!info.sealed || info.recompress_pending) continue;
-    if (!policy_.revisit_sealed || !analyzable) continue;
-    if (pinned && !policy_.recompress_pinned) continue;
-    if (info.age_chunks < policy_.min_age_chunks) continue;
-    sealed.push_back(info.slot);
-  }
-  // Under a budget, a fixed oldest-first order would re-price the same
-  // (possibly unimprovable) prefix every tick and never reach the rest:
-  // rotate where this tick's sealed scan starts, advancing the cursor by
-  // what the previous ticks consumed, so every candidate is reached within
-  // ceil(candidates / budget) ticks of the same Recompressor.
-  if (!sealed.empty()) {
-    const uint64_t offset =
-        cursor_.load(std::memory_order_relaxed) % sealed.size();
-    std::rotate(sealed.begin(), sealed.begin() + offset, sealed.end());
-  }
-  const size_t backlog_count = candidates.size();
-  candidates.insert(candidates.end(), sealed.begin(), sealed.end());
-  if (candidates.size() > policy_.max_chunks_per_tick) {
-    candidates.resize(policy_.max_chunks_per_tick);
-  }
-  // Advance by the sealed candidates this tick covers, so the next tick's
-  // window starts right after this one's. A backlog-saturated tick (no
-  // sealed candidate fit the budget) leaves the cursor alone.
-  const size_t sealed_taken =
-      candidates.size() > backlog_count ? candidates.size() - backlog_count
-                                        : 0;
-  cursor_.fetch_add(sealed_taken, std::memory_order_relaxed);
-
-  // Claim + schedule. Jobs run at low priority so a shared pool serves live
-  // seal jobs and scan fan-out first; each outcome lands in its own slot
-  // and is folded below in schedule order (deterministic report).
-  const bool may_revisit_sealed =
-      policy_.revisit_sealed && analyzable &&
-      (!pinned || policy_.recompress_pinned);
-  std::vector<JobOutcome> outcomes(candidates.size());
-  std::vector<char> scheduled(candidates.size(), 0);
-  {
-    TaskGroup jobs;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const uint64_t slot = candidates[i];
-      bool sealed_now = false;
-      std::shared_ptr<const CompressedChunk> claimed =
-          column.TryBeginRecompress(slot, &sealed_now);
-      if (claimed == nullptr) continue;  // Raced with another recompressor.
-      if (sealed_now && !may_revisit_sealed) {
-        // A backlog candidate whose seal job landed between selection and
-        // the claim: it is a sealed chunk now, and this policy does not
-        // revisit sealed chunks (of this column) — release the claim.
-        column.AbortRecompress(slot);
+  std::vector<Job> jobs;
+  for (const auto& [name, column] : columns) {
+    const std::vector<AppendableColumn::ChunkInfo> infos =
+        column->ChunkInfos();
+    report.chunks_examined += infos.size();
+    // Candidate order: the stored-plain backlog first (slot order — those
+    // chunks pay full-width storage today), then sealed chunks. Judged
+    // chunks drop out, so a budgeted tick reaches the rest in turn.
+    std::vector<uint64_t> candidates;
+    for (const bool sealed : {false, true}) {
+      for (const auto& info : infos) {
+        if (info.sealed == sealed && !info.recompress_pending &&
+            Wanted(info, *column, policy_)) {
+          candidates.push_back(info.slot);
+        }
+      }
+    }
+    if (candidates.size() > policy_.max_chunks_per_tick) {
+      candidates.resize(policy_.max_chunks_per_tick);
+    }
+    for (const uint64_t slot : candidates) {
+      std::optional<AppendableColumn::ChunkInfo> claim =
+          column->TryBeginRecompress(slot);
+      if (!claim.has_value()) continue;  // Raced with another recompressor.
+      if (!Wanted(*claim, *column, policy_)) {
+        // A backlog candidate whose seal job landed since selection, and
+        // which this policy does not revisit now: release the claim.
+        column->AbortRecompress(slot);
         continue;
       }
-      scheduled[i] = 1;
-      ++report.chunks_scheduled;
-      jobs.Run(
-          ctx_,
-          [&column, &outcomes, i, slot, claimed = std::move(claimed),
-           sealed_now, this, &column_name]() {
-            outcomes[i] = RecompressOne(column, slot, claimed, sealed_now,
-                                        policy_, column_name);
-          },
-          TaskPriority::kLow);
+      jobs.push_back({column, &name, std::move(*claim), {}});
     }
-    jobs.Wait();
   }
+  report.chunks_scheduled = jobs.size();
 
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!scheduled[i]) continue;
-    JobOutcome& outcome = outcomes[i];
+  // Jobs run at low priority so a shared pool serves live seal jobs and
+  // scan fan-out first; each outcome lands in its own job and is folded
+  // below in schedule order (deterministic report).
+  TaskGroup group;
+  for (Job& job : jobs) {
+    group.Run(
+        ctx_,
+        [this, &job] {
+          job.outcome =
+              RecompressOne(*job.column, job.claim, policy_, *job.name);
+        },
+        TaskPriority::kLow);
+  }
+  group.Wait();
+
+  for (Job& job : jobs) {
+    JobOutcome& outcome = job.outcome;
     switch (outcome.kind) {
       case JobOutcome::Kind::kSwapped:
         ++report.chunks_reswapped;
@@ -304,13 +290,12 @@ Result<RecompressionReport> Recompressor::Tick(AppendableColumn& column,
 }
 
 Result<RecompressionReport> Recompressor::RecompressAll(
-    AppendableColumn& column, const std::string& column_name) {
+    const NamedColumns& columns) const {
   // The per-tick budget is a maintenance-bandwidth knob; draining ignores
-  // it (a budgeted pass always revisits the oldest candidates first, so
-  // looping budgeted passes would starve the younger ones).
+  // it.
   RecompressionPolicy drain = policy_;
   drain.max_chunks_per_tick = ~uint64_t{0};
-  Recompressor unbudgeted(std::move(drain), ctx_);
+  const Recompressor unbudgeted(std::move(drain), ctx_);
 
   RecompressionReport total;
   // Each productive pass strictly shrinks the reswapped chunks (min_gain >=
@@ -318,7 +303,7 @@ Result<RecompressionReport> Recompressor::RecompressAll(
   // a safety net, not a tuning knob.
   for (int pass = 0; pass < 1000; ++pass) {
     RECOMP_ASSIGN_OR_RETURN(RecompressionReport report,
-                            unbudgeted.Tick(column, column_name));
+                            unbudgeted.Tick(columns));
     const bool progress = report.chunks_reswapped > 0;
     total.MergeFrom(report);
     if (!progress) break;

@@ -9,14 +9,14 @@
 //
 //   candidates   RecompressionPolicy ranks the stored-plain backlog first
 //                (those chunks pay full-width storage and plain-scan costs),
-//                then sealed chunks whose current footprint loses to a fresh
-//                analyzer choice by a configurable ratio, using the
-//                per-chunk access/age statistics AppendableColumn tracks.
-//   execution    Recompressor claims a slot (TryBeginRecompress), schedules
-//                a low-priority job on the shared ExecContext pool via
-//                TaskGroup — live seal jobs and scan fan-out always go
-//                first — and the job decompresses, re-chooses, recompresses,
-//                and recomputes the zone map without any column lock held.
+//                then sealed chunks not yet judged under the policy's
+//                analyzer: rows never change, so each chunk is priced once
+//                per analyzer (AppendableColumn's per-slot records).
+//   execution    Recompressor claims slots (TryBeginRecompress), runs every
+//                column's jobs at low priority in one TaskGroup on the shared
+//                ExecContext pool — live seal jobs and scan fan-out always go
+//                first — and each job decompresses and re-seals its chunk
+//                (SealChunk) without any column lock held.
 //   swap         CompleteRecompress replaces the slot's
 //                shared_ptr<const CompressedChunk> iff it still holds the
 //                envelope the job started from (the original seal job may
@@ -32,9 +32,9 @@
 #ifndef RECOMP_STORE_RECOMPRESS_H_
 #define RECOMP_STORE_RECOMPRESS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -44,17 +44,13 @@
 
 namespace recomp::store {
 
-/// Candidate selection knobs for one recompression pass.
+/// Candidate selection knobs for one recompression pass. Stored-plain ID
+/// chunks left behind by slow or failed seal jobs (the backlog) are always
+/// taken when they qualify — they pay full-width storage today —
+/// regardless of min_gain; sealed chunks are re-priced under `analyzer`
+/// unless already judged under it, and swapped when the fresh choice wins
+/// by min_gain.
 struct RecompressionPolicy {
-  /// Convert stored-plain ID chunks left behind by slow or failed seal jobs
-  /// (the backlog). These are always taken when they qualify — they pay
-  /// full-width storage today — regardless of min_gain.
-  bool drain_stored_plain = true;
-
-  /// Re-run the analyzer on sealed chunks and swap when the fresh choice
-  /// wins by min_gain.
-  bool revisit_sealed = true;
-
   /// Also revisit sealed chunks of columns with a pinned descriptor
   /// (IngestOptions::descriptor / catalog-pinned table columns). Off by
   /// default: a pin usually exists on purpose; turn this on to migrate a
@@ -69,7 +65,9 @@ struct RecompressionPolicy {
   /// A sealed chunk is reswapped only when
   ///   old_payload_bytes > new_payload_bytes * min_gain,
   /// i.e. the fresh choice is at least this factor smaller. 1.0 means "any
-  /// strict improvement"; higher values suppress churn.
+  /// strict improvement"; higher values suppress churn. A chunk kept under
+  /// it is judged all the same: a later pass with equal analyzer options
+  /// and a lower min_gain does not revisit it.
   double min_gain = 1.05;
 
   /// Only chunks with at least this many younger chunks (rolled after them)
@@ -84,7 +82,8 @@ struct RecompressionPolicy {
 
   /// Constraints for the fresh analyzer search (e.g. a decompression-cost
   /// budget). Independent of the column's ingest-time AnalyzerOptions: the
-  /// usual reason to recompress is exactly that this differs.
+  /// usual reason to recompress is exactly that this differs — a chunk the
+  /// ingest analyzer sealed under equal options is already judged.
   AnalyzerOptions analyzer;
 
   /// Structural checks (min_gain >= 1.0, so a swap can never grow a chunk).
@@ -107,7 +106,7 @@ struct ChunkRecompression {
 
 /// What one pass (or an accumulation of passes) did.
 struct RecompressionReport {
-  uint64_t chunks_examined = 0;     ///< Candidates the policy looked at.
+  uint64_t chunks_examined = 0;     ///< Slots the policy looked at.
   uint64_t chunks_scheduled = 0;    ///< Jobs actually claimed and run.
   uint64_t chunks_reswapped = 0;    ///< Slots swapped to a new envelope.
   uint64_t stored_plain_drained = 0;  ///< Reswaps that sealed backlog chunks.
@@ -130,46 +129,47 @@ struct RecompressionReport {
   std::string ToString() const;
 };
 
+/// The columns one pass covers, each with the name its report's swap
+/// entries carry (empty for a standalone column).
+using NamedColumns = std::vector<std::pair<std::string, AppendableColumn*>>;
+
 /// Executes recompression passes over AppendableColumns. Safe to use from
 /// multiple threads against the same column (slot claims exclude double
 /// work). The ExecContext's pool, when present, runs the jobs at low
 /// priority; without one, jobs run inline on the calling thread — in both
 /// cases off the scan path (readers only ever observe the O(1) slot swap).
 ///
-/// The only state between calls is a fairness cursor: under a per-tick
-/// budget, consecutive Tick()s on the same Recompressor rotate where the
-/// sealed-candidate scan starts, so chunks beyond the budget window are
-/// reached eventually instead of the oldest (possibly unimprovable) chunks
-/// being re-priced forever. Reuse one Recompressor for a budgeted tick loop
-/// (the Table background mode does); a fresh instance starts oldest-first.
+/// A Recompressor keeps no state between calls: the slots' judged records
+/// live in the columns, so a budgeted tick moves forward on its own — every
+/// sealed chunk a job searched drops out of the candidates, whether the job
+/// swapped, kept or failed — on a fresh instance (Table::MaintenanceTick)
+/// as on a reused one (the background loop).
 class Recompressor {
  public:
   explicit Recompressor(RecompressionPolicy policy = {}, ExecContext ctx = {});
 
-  const RecompressionPolicy& policy() const { return policy_; }
-
-  /// One bounded pass: selects candidates (stored-plain backlog first, then
-  /// sealed chunks oldest-first), schedules up to max_chunks_per_tick jobs,
-  /// waits for them, and reports what happened. `column_name` labels the
-  /// report's swap entries.
+  /// One bounded pass: selects each column's candidates (stored-plain
+  /// backlog first, then sealed chunks oldest-first), claims up to
+  /// max_chunks_per_tick of them per column, runs every claimed job in one
+  /// TaskGroup, waits for them, and reports what happened.
+  Result<RecompressionReport> Tick(const NamedColumns& columns) const;
   Result<RecompressionReport> Tick(AppendableColumn& column,
-                                   const std::string& column_name = "");
+                                   const std::string& column_name = "") const {
+    return Tick({{column_name, &column}});
+  }
 
-  /// Ticks — with the per-tick budget lifted, so no candidate can starve —
-  /// until a pass makes no further progress: the backlog is drained and no
-  /// sealed chunk beats min_gain. Returns the accumulated report.
-  Result<RecompressionReport> RecompressAll(AppendableColumn& column,
-                                            const std::string& column_name = "");
+  /// Ticks — with the per-tick budget lifted — until a pass makes no
+  /// further progress: the backlog is drained and no sealed chunk beats
+  /// min_gain. Returns the accumulated report.
+  Result<RecompressionReport> RecompressAll(const NamedColumns& columns) const;
+  Result<RecompressionReport> RecompressAll(
+      AppendableColumn& column, const std::string& column_name = "") const {
+    return RecompressAll({{column_name, &column}});
+  }
 
  private:
   const RecompressionPolicy policy_;
   const ExecContext ctx_;
-  /// Fairness cursor over sealed candidates; see the class comment. The
-  /// only mutable member, and atomic rather than mutex-guarded on purpose:
-  /// concurrent Tick()s only need each pass's advance to land eventually
-  /// (relaxed ordering — the cursor is a rotation hint, not shared data),
-  /// so there is no lock here for the thread-safety analysis to track.
-  std::atomic<uint64_t> cursor_{0};
 };
 
 }  // namespace recomp::store

@@ -22,7 +22,7 @@ struct Table::Maintenance {
   RecompressionPolicy policy;
   std::chrono::milliseconds interval{100};
   ExecContext ctx;
-  std::vector<std::pair<std::string, AppendableColumn*>> columns;
+  NamedColumns columns;
 
   Mutex mu;  ///< Guards stop (with cv).
   CondVar cv;
@@ -77,20 +77,18 @@ struct Table::Maintenance {
   }
 
   void Loop() {
-    Recompressor recompressor(policy, ctx);
+    const Recompressor recompressor(policy, ctx);
     for (;;) {
+      Result<RecompressionReport> tick = recompressor.Tick(columns);
       RecompressionReport pass;
-      for (const auto& [name, column] : columns) {
-        Result<RecompressionReport> tick = recompressor.Tick(*column, name);
-        if (tick.ok()) {
-          pass.MergeFrom(*tick);
-        } else {
-          // Unreachable while Tick's only rejection is the policy check
-          // StartMaintenance shares (RecompressionPolicy::Validate) — but
-          // if Tick ever grows another error path, make it visible as a
-          // failed attempt instead of silently no-opping forever.
-          ++pass.chunks_failed;
-        }
+      if (tick.ok()) {
+        pass = std::move(*tick);
+      } else {
+        // Unreachable while Tick's only rejection is the policy check
+        // StartMaintenance shares (RecompressionPolicy::Validate) — but if
+        // Tick ever grows another error path, make it visible as a failed
+        // attempt instead of silently no-opping forever.
+        ++pass.chunks_failed;
       }
       MergeReport(pass);
       const auto deadline = std::chrono::steady_clock::now() + interval;
@@ -172,28 +170,22 @@ Result<Table> Table::Create(const std::vector<ColumnSpec>& specs,
   return table;
 }
 
+NamedColumns Table::AllColumns() const {
+  NamedColumns columns;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    columns.emplace_back(names_[i], columns_[i].get());
+  }
+  return columns;
+}
+
 Result<RecompressionReport> Table::MaintenanceTick(
     const RecompressionPolicy& policy) {
-  Recompressor recompressor(policy, ctx_);
-  RecompressionReport report;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    RECOMP_ASSIGN_OR_RETURN(RecompressionReport pass,
-                            recompressor.Tick(*columns_[i], names_[i]));
-    report.MergeFrom(pass);
-  }
-  return report;
+  return Recompressor(policy, ctx_).Tick(AllColumns());
 }
 
 Result<RecompressionReport> Table::RecompressAll(
     const RecompressionPolicy& policy) {
-  Recompressor recompressor(policy, ctx_);
-  RecompressionReport report;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    RECOMP_ASSIGN_OR_RETURN(RecompressionReport drained,
-                            recompressor.RecompressAll(*columns_[i], names_[i]));
-    report.MergeFrom(drained);
-  }
-  return report;
+  return Recompressor(policy, ctx_).RecompressAll(AllColumns());
 }
 
 Status Table::StartMaintenance(RecompressionPolicy policy,
@@ -205,9 +197,7 @@ Status Table::StartMaintenance(RecompressionPolicy policy,
   state->policy = std::move(policy);
   state->interval = interval;
   state->ctx = ctx_;
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    state->columns.emplace_back(names_[i], columns_[i].get());
-  }
+  state->columns = AllColumns();
   // s.mu guards the maintenance pointer itself: maintenance_report() is
   // documented as readable while maintenance runs, so replacing the state
   // here must not race a concurrent reader dereferencing it.

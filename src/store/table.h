@@ -129,10 +129,11 @@ class Table {
 
   // --- Recompression (store/recompress.h) --------------------------------
 
-  /// One bounded recompression pass over every column: drains the
-  /// stored-plain backlog and reswaps sealed chunks the fresh analyzer
-  /// beats, within the policy's per-tick budget. Jobs run at low priority
-  /// on the table's ExecContext pool; scans and ingest never wait on them.
+  /// One bounded recompression pass over every column, as the background
+  /// mode ticks: drains the stored-plain backlog and re-prices sealed chunks
+  /// not yet judged under the policy's analyzer, within its per-column
+  /// budget. Jobs run at low priority on the table's ExecContext pool;
+  /// scans and ingest never wait on them.
   Result<RecompressionReport> MaintenanceTick(
       const RecompressionPolicy& policy = {});
 
@@ -205,6 +206,9 @@ class Table {
   /// sticky status is failed.
   Status CheckColumnsHealthyLocked(const LockedState& s) const
       RECOMP_REQUIRES(s.mu);
+
+  /// Every column with its name: what a recompression pass covers.
+  NamedColumns AllColumns() const;
 
   /// Passes `append_status` through; when it failed after column 0 already
   /// landed the row, also records the broken alignment in s.table_status.

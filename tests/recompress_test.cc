@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/catalog.h"
 #include "core/chunked.h"
 #include "exec/aggregate.h"
@@ -399,6 +401,149 @@ TEST(RecompressionTest, TableMaintenanceTickAndRecompressAll) {
   auto back = DecompressChunked((*snap->column("keys"))->chunked());
   ASSERT_OK(back.status());
   EXPECT_TRUE(*back == AnyColumn(keys));
+}
+
+/// Default ingest options with `rows` rows per chunk.
+IngestOptions ChunkRows(uint64_t rows) {
+  IngestOptions options;
+  options.chunk_rows = rows;
+  return options;
+}
+
+TEST(RecompressionTest, BudgetedTableTicksReachEverySlot) {
+  // Table::MaintenanceTick builds a fresh Recompressor per call; a budget
+  // of one chunk must still move on each call, because the slot it judged
+  // drops out of the candidates.
+  auto table = Table::Create({{"k", TypeId::kUInt32, ChunkRows(256), "NS"}});
+  ASSERT_OK(table.status());
+  const Column<uint32_t> rows = testutil::RunsColumn(2048, 0.02, 43);
+  ASSERT_OK(table->AppendBatch({AnyColumn(rows)}));
+  ASSERT_OK(table->Flush());
+
+  RecompressionPolicy policy;
+  policy.recompress_pinned = true;
+  policy.min_gain = 1.0;
+  policy.max_chunks_per_tick = 1;
+  std::set<uint64_t> swapped;
+  for (int call = 0; call < 8; ++call) {
+    auto tick = table->MaintenanceTick(policy);
+    ASSERT_OK(tick.status());
+    EXPECT_EQ(tick->chunks_examined, 8u);
+    ASSERT_EQ(tick->swaps.size(), 1u) << "call " << call;
+    EXPECT_TRUE(swapped.insert(tick->swaps[0].slot).second)
+        << "slot " << tick->swaps[0].slot << " swapped twice";
+  }
+  auto ninth = table->MaintenanceTick(policy);
+  ASSERT_OK(ninth.status());
+  EXPECT_EQ(ninth->chunks_scheduled, 0u);
+
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  auto back = DecompressChunked((*snap->column("k"))->chunked());
+  ASSERT_OK(back.status());
+  EXPECT_TRUE(*back == AnyColumn(rows));
+}
+
+TEST(RecompressionTest, TickSkipsChunksTheIngestAnalyzerJudged) {
+  // Seal jobs record the analyzer options that chose each chunk; the
+  // default policy prices with the same options, so re-running the search
+  // could only answer "keep" and a tick schedules nothing.
+  ThreadPool pool(2);
+  auto table = Table::Create(
+      {
+          {"a", TypeId::kUInt32, ChunkRows(256), ""},
+          {"b", TypeId::kUInt32, ChunkRows(256), ""},
+      },
+      ExecContext{&pool, 1});
+  ASSERT_OK(table.status());
+  ASSERT_OK(table->AppendBatch(
+      {AnyColumn(testutil::RunsColumn(2048, 0.02, 47)),
+       AnyColumn(testutil::UniformColumn<uint32_t>(2048, 1u << 12, 53))}));
+  ASSERT_OK(table->Flush());
+
+  auto tick = table->MaintenanceTick();
+  ASSERT_OK(tick.status());
+  EXPECT_EQ(tick->chunks_examined, 16u);
+  EXPECT_EQ(tick->chunks_scheduled, 0u);
+}
+
+TEST(RecompressionTest, TickRepricesOnlyChunksNewToItsAnalyzer) {
+  // A policy whose analyzer differs from ingest's prices every chunk once.
+  // Under min_gain 1.0 each is either swapped or found no better, so the
+  // next tick has nothing left; chunks sealed later by the ingest analyzer
+  // are the only new work.
+  auto table = Table::Create({{"v", TypeId::kUInt32, ChunkRows(256), ""}});
+  ASSERT_OK(table.status());
+  ASSERT_OK(
+      table->AppendBatch({AnyColumn(testutil::RunsColumn(2048, 0.03, 59))}));
+  ASSERT_OK(table->Flush());
+
+  RecompressionPolicy policy;
+  policy.analyzer.max_cost_per_value = 1.5;
+  policy.min_gain = 1.0;
+  auto first = table->MaintenanceTick(policy);
+  ASSERT_OK(first.status());
+  EXPECT_EQ(first->chunks_scheduled, 8u);
+  EXPECT_EQ(first->chunks_failed, 0u);
+  auto second = table->MaintenanceTick(policy);
+  ASSERT_OK(second.status());
+  EXPECT_EQ(second->chunks_scheduled, 0u);
+
+  constexpr uint64_t kNewChunks = 3;
+  ASSERT_OK(table->AppendBatch(
+      {AnyColumn(testutil::RunsColumn(kNewChunks * 256, 0.03, 61))}));
+  ASSERT_OK(table->Flush());
+  auto third = table->MaintenanceTick(policy);
+  ASSERT_OK(third.status());
+  EXPECT_EQ(third->chunks_examined, 8u + kNewChunks);
+  EXPECT_LE(third->chunks_scheduled, kNewChunks);
+}
+
+TEST(RecompressionTest, BudgetedTicksMovePastAChunkKeptForMinGain) {
+  // Slot 0's fresh choice beats its NS pin, but by less than min_gain; the
+  // other slots beat it by far more. The kept slot is judged like a swapped
+  // one, so a reused Recompressor under a one-chunk budget reaches every
+  // other slot in turn instead of re-pricing slot 0 on every tick.
+  IngestOptions options = ChunkRows(256);
+  options.descriptor = Ns();
+  AppendableColumn column(TypeId::kUInt32, options);
+  Column<uint32_t> rows = testutil::UniformColumn<uint32_t>(256, 1u << 16, 67);
+  rows[7] = 1u << 31;  // One outlier: the pin packs every value in 32 bits.
+  const Column<uint32_t> first_chunk = rows;
+  for (uint32_t c = 1; c < 8; ++c) {
+    for (uint32_t i = 0; i < 256; ++i) rows.push_back(c * 10 + i / 64);
+  }
+  ASSERT_OK(column.AppendBatch(AnyColumn(rows)));
+  ASSERT_OK(column.Flush());
+
+  RecompressionPolicy policy;
+  policy.recompress_pinned = true;
+  policy.min_gain = 10.0;
+  policy.max_chunks_per_tick = 1;
+  const uint64_t pinned_bytes =
+      column.ChunkInfos()[0].chunk->column.PayloadBytes();
+  auto fresh = CompressChunkedAuto(AnyColumn(first_chunk), {256},
+                                   policy.analyzer);
+  ASSERT_OK(fresh.status());
+  ASSERT_GT(pinned_bytes, fresh->PayloadBytes());
+  ASSERT_LE(pinned_bytes, fresh->PayloadBytes() * policy.min_gain);
+
+  const Recompressor recompressor(policy);
+  auto kept = recompressor.Tick(column);
+  ASSERT_OK(kept.status());
+  EXPECT_EQ(kept->chunks_scheduled, 1u);
+  EXPECT_EQ(kept->chunks_kept, 1u);
+  std::set<uint64_t> swapped;
+  for (int call = 1; call < 8; ++call) {
+    auto tick = recompressor.Tick(column);
+    ASSERT_OK(tick.status());
+    ASSERT_EQ(tick->swaps.size(), 1u) << "call " << call;
+    swapped.insert(tick->swaps[0].slot);
+  }
+  EXPECT_EQ(swapped, (std::set<uint64_t>{1, 2, 3, 4, 5, 6, 7}));
+  auto last = recompressor.Tick(column);
+  ASSERT_OK(last.status());
+  EXPECT_EQ(last->chunks_scheduled, 0u);
 }
 
 TEST(RecompressionTest, TableBackgroundMaintenanceLifecycle) {
