@@ -10,8 +10,6 @@
 //   - seed:     the materializing per-scheme recursion with every kernel
 //               forced scalar — exactly what the tree decoded before the
 //               cascade existed,
-//   - gather:   the same recursion with the legacy gather-based unpack
-//               (widths <= 25) instead of the width-specialized kernels,
 //   - memcpy:   a copy of the same output bytes, the bandwidth ceiling.
 // Scalar and AVX2 dispatch are asserted bit-identical in-bench before any
 // timing, and the gated shapes must decode at >= 2x the seed's bytes/cycle
@@ -180,15 +178,6 @@ Result<AnyColumn> SeedDecode(const CompressedColumn& compressed) {
   return out;
 }
 
-/// The materializing recursion with the legacy gather-based unpack — the
-/// strongest non-fused decode this tree ever shipped.
-Result<AnyColumn> GatherDecode(const CompressedColumn& compressed) {
-  ops::ForceBaselineUnpack(true);
-  Result<AnyColumn> out = Decompress(compressed);
-  ops::ForceBaselineUnpack(false);
-  return out;
-}
-
 void PrintTables() {
   bench::Section(
       "A2: decode bandwidth — fused cascade vs materializing decode");
@@ -209,8 +198,8 @@ void PrintTables() {
     bench::JsonReport::Instance().Set("memcpy", m.bytes_per_tick);
   }
 
-  std::printf("%-18s %7s %14s %15s %15s %9s\n", "shape", "kernel",
-              (std::string("fused B/") + TickUnit()).c_str(), "seed", "gather",
+  std::printf("%-18s %7s %14s %15s %9s\n", "shape", "kernel",
+              (std::string("fused B/") + TickUnit()).c_str(), "seed",
               "speedup");
   for (const ShapeCase& c : Shapes()) {
     // Agreement first: AVX2 dispatch, forced-scalar dispatch, and the
@@ -240,25 +229,17 @@ void PrintTables() {
       bench::CheckOk(out.status(), c.name.c_str());
       benchmark::DoNotOptimize(out->size());
     });
-    const Measurement gather_m = MeasureBest(c.output_bytes, [&] {
-      auto out = GatherDecode(c.compressed);
-      bench::CheckOk(out.status(), c.name.c_str());
-      benchmark::DoNotOptimize(out->size());
-    });
     const double speedup =
         seed_m.bytes_per_tick > 0
             ? fused_m.bytes_per_tick / seed_m.bytes_per_tick
             : 0.0;
     const FusedShape shape = ClassifyFusedShape(c.compressed.root());
-    std::printf("%-18s %7s %10.3f %17.3f %15.3f %8.2fx\n", c.name.c_str(),
+    std::printf("%-18s %7s %10.3f %17.3f %8.2fx\n", c.name.c_str(),
                 shape == FusedShape::kGeneric ? "generic" : "fused",
-                fused_m.bytes_per_tick, seed_m.bytes_per_tick,
-                gather_m.bytes_per_tick, speedup);
+                fused_m.bytes_per_tick, seed_m.bytes_per_tick, speedup);
 
     bench::JsonReport::Instance().Set(c.name, fused_m.bytes_per_tick);
     bench::JsonReport::Instance().Set(c.name + ".seed", seed_m.bytes_per_tick);
-    bench::JsonReport::Instance().Set(c.name + ".gather",
-                                      gather_m.bytes_per_tick);
     bench::JsonReport::Instance().Set(c.name + ".fused_mbps", fused_m.mbps);
     bench::JsonReport::Instance().Set(c.name + ".speedup_vs_seed", speedup);
 

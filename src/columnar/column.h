@@ -18,12 +18,6 @@ namespace recomp {
 template <typename T>
 using Column = std::vector<T, AlignedAllocator<T>>;
 
-/// Builds a Column<T> from an initializer-style std::vector (test helper).
-template <typename T>
-Column<T> MakeColumn(const std::vector<T>& values) {
-  return Column<T>(values.begin(), values.end());
-}
-
 /// Raw byte footprint of a column's payload.
 template <typename T>
 uint64_t ColumnBytes(const Column<T>& col) {

@@ -17,43 +17,31 @@ ColumnStats ComputeStats(const Column<T>& col) {
 
   s.min = col[0];
   s.max = col[0];
-  s.run_count = 1;
-  s.sorted_nondecreasing = true;
-  s.strictly_increasing = true;
-  uint64_t current_run = 1;
-  s.max_run_length = 1;
-
-  uint64_t max_zz = zigzag::EncodeDiff<uint64_t>(col[0], 0);
-
-  for (uint64_t i = 1; i < col.size(); ++i) {
+  uint64_t current_run = 0;
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < col.size(); ++i) {
     const uint64_t v = col[i];
-    const uint64_t prev = col[i - 1];
-    s.min = std::min<uint64_t>(s.min, v);
-    s.max = std::max<uint64_t>(s.max, v);
-    if (v == prev) {
+    s.min = std::min(s.min, v);
+    s.max = std::max(s.max, v);
+    if (i > 0 && v == prev) {
       ++current_run;
-      s.strictly_increasing = false;
     } else {
       s.max_run_length = std::max(s.max_run_length, current_run);
       current_run = 1;
       ++s.run_count;
-      if (v < prev) {
-        s.sorted_nondecreasing = false;
-        s.strictly_increasing = false;
-      }
     }
-    uint64_t zz = zigzag::EncodeDiff<uint64_t>(v, prev);
-    int zz_bits = bits::BitWidth(zz);
-    s.max_delta_zigzag_bits = std::max(s.max_delta_zigzag_bits, zz_bits);
-    max_zz = std::max(max_zz, zz);
+    ++s.raw_width_histogram[bits::BitWidth(v)];
+    const int delta_bits =
+        bits::BitWidth(zigzag::EncodeDiff<uint64_t>(v, prev));
+    ++s.delta_width_histogram[delta_bits];
+    s.max_delta_zigzag_bits_with_head =
+        std::max(s.max_delta_zigzag_bits_with_head, delta_bits);
+    prev = v;
   }
   s.max_run_length = std::max(s.max_run_length, current_run);
   s.avg_run_length =
       static_cast<double>(s.n) / static_cast<double>(s.run_count);
-
   s.value_bits = bits::BitWidth(s.max);
-  s.range_bits = bits::BitWidth(s.max - s.min);
-  s.max_delta_zigzag_bits_with_head = bits::BitWidth(max_zz);
 
   std::unordered_set<uint64_t> seen;
   for (const T v : col) {
@@ -86,26 +74,29 @@ int StepResidualWidth(const Column<T>& col, uint64_t ell) {
   return width;
 }
 
-template <typename T>
-int WidthCoveringFraction(const Column<T>& col, double outlier_fraction) {
-  static_assert(std::is_unsigned_v<T>);
-  if (col.empty()) return 0;
-  uint64_t histogram[65] = {};
-  for (const T v : col) ++histogram[bits::BitWidth(static_cast<uint64_t>(v))];
-  const uint64_t keep = static_cast<uint64_t>(
-      static_cast<double>(col.size()) * (1.0 - outlier_fraction));
-  uint64_t covered = 0;
+PatchedWidth ChoosePatchedWidth(const WidthHistogram& histogram,
+                                uint64_t value_size) {
+  uint64_t n = 0;
+  int widest = 0;
   for (int w = 0; w <= 64; ++w) {
-    covered += histogram[w];
-    if (covered >= keep) return w;
+    n += histogram[w];
+    if (histogram[w] != 0) widest = w;
   }
-  return 64;
+  PatchedWidth best{widest, ~uint64_t{0}};
+  // exceptions(w): values needing more than w bits.
+  uint64_t exceptions = 0;
+  for (int w = widest; w >= 0; --w) {
+    const uint64_t bytes = bits::PackedByteSize(n, w) +
+                           exceptions * (sizeof(uint32_t) + value_size);
+    if (bytes < best.bytes) best = {w, bytes};
+    exceptions += histogram[w];  // Values of exactly w bits overflow w-1.
+  }
+  return best;
 }
 
 #define RECOMP_INSTANTIATE_STATS(T)                                  \
   template ColumnStats ComputeStats<T>(const Column<T>&);            \
-  template int StepResidualWidth<T>(const Column<T>&, uint64_t);     \
-  template int WidthCoveringFraction<T>(const Column<T>&, double);
+  template int StepResidualWidth<T>(const Column<T>&, uint64_t);
 
 RECOMP_INSTANTIATE_STATS(uint8_t)
 RECOMP_INSTANTIATE_STATS(uint16_t)

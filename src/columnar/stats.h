@@ -7,11 +7,15 @@
 #ifndef RECOMP_COLUMNAR_STATS_H_
 #define RECOMP_COLUMNAR_STATS_H_
 
+#include <array>
 #include <cstdint>
 
 #include "columnar/column.h"
 
 namespace recomp {
+
+/// histogram[w]: how many values need exactly w bits.
+using WidthHistogram = std::array<uint64_t, 65>;
 
 /// Summary statistics of one column.
 struct ColumnStats {
@@ -22,31 +26,31 @@ struct ColumnStats {
 
   /// BitWidth(max): bits for NS without any model.
   int value_bits = 0;
-  /// BitWidth(max - min): bits for offsets from a single global reference.
-  int range_bits = 0;
 
   /// Number of maximal runs of equal values (0 for the empty column).
   uint64_t run_count = 0;
   uint64_t max_run_length = 0;
   double avg_run_length = 0.0;
 
-  bool sorted_nondecreasing = false;
-  bool strictly_increasing = false;
-
   /// Exact count of distinct values, capped at kDistinctCap.
   uint64_t distinct = 0;
   bool distinct_capped = false;
 
-  /// max over i>0 of BitWidth(zigzag(v[i] - v[i-1])); 0 when n <= 1.
-  /// Predicts the NS width of a ZIGZAG∘DELTA residual.
-  int max_delta_zigzag_bits = 0;
-  /// Same, with v[-1] := 0 included (the library's DELTA convention).
+  /// Bit widths of the values.
+  WidthHistogram raw_width_histogram{};
+  /// Bit widths of zigzag(v[i] - v[i-1]) with v[-1] := 0 (the library's
+  /// DELTA convention): what a ZIGZAG∘DELTA residual holds.
+  WidthHistogram delta_width_histogram{};
+  /// The widest bucket of delta_width_histogram; 0 when n == 0. Equal
+  /// neighbours zigzag to 0, so this is also the widest delta between
+  /// consecutive run values.
   int max_delta_zigzag_bits_with_head = 0;
 
   static constexpr uint64_t kDistinctCap = 1u << 16;
 };
 
-/// Computes full statistics in two passes over the column.
+/// Computes full statistics in one walk over the column plus the distinct
+/// count.
 template <typename T>
 ColumnStats ComputeStats(const Column<T>& col);
 
@@ -55,10 +59,17 @@ ColumnStats ComputeStats(const Column<T>& col);
 template <typename T>
 int StepResidualWidth(const Column<T>& col, uint64_t ell);
 
-/// Width (bits) sufficient for at least (1 - outlier_fraction) of the
-/// values; the PATCHED base width that leaves ~outlier_fraction patches.
-template <typename T>
-int WidthCoveringFraction(const Column<T>& col, double outlier_fraction);
+/// PATCHED's base width for values with `histogram`'s bit widths.
+struct PatchedWidth {
+  int width = 0;
+  uint64_t bytes = 0;  ///< Packed base plus patch list.
+};
+
+/// Minimizes bytes(w) = packed_base(w) + patches(w) * (uint32 position +
+/// `value_size`-byte value) over every w up to the widest value, widest
+/// among ties.
+PatchedWidth ChoosePatchedWidth(const WidthHistogram& histogram,
+                                uint64_t value_size);
 
 }  // namespace recomp
 

@@ -11,65 +11,12 @@
 #include "obs/metrics.h"
 #include "schemes/scheme_internal.h"
 #include "util/bits.h"
-#include "util/zigzag.h"
 
 namespace recomp {
 
 namespace {
 
-/// Derived single-pass statistics beyond ColumnStats.
-struct DerivedStats {
-  uint64_t raw_width_histogram[65] = {};
-  uint64_t delta_width_histogram[65] = {};  // zigzag deltas, incl. head
-  int run_value_delta_bits = 0;  // zigzag deltas between consecutive run values
-};
-
-template <typename T>
-DerivedStats ComputeDerived(const Column<T>& col) {
-  DerivedStats d;
-  uint64_t prev = 0;
-  uint64_t prev_run_value = 0;
-  bool first = true;
-  for (const T value : col) {
-    const uint64_t v = static_cast<uint64_t>(value);
-    ++d.raw_width_histogram[bits::BitWidth(v)];
-    ++d.delta_width_histogram[bits::BitWidth(
-        zigzag::EncodeDiff<uint64_t>(v, prev))];
-    if (first || v != prev) {
-      d.run_value_delta_bits = std::max(
-          d.run_value_delta_bits,
-          bits::BitWidth(zigzag::EncodeDiff<uint64_t>(
-              v, first ? 0 : prev_run_value)));
-      prev_run_value = v;
-      first = false;
-    }
-    prev = v;
-  }
-  return d;
-}
-
-int MaxWidth(const uint64_t histogram[65]) {
-  for (int w = 64; w >= 0; --w) {
-    if (histogram[w] != 0) return w;
-  }
-  return 0;
-}
-
-/// Exact PATCHED+NS cost from a width histogram (mirrors PatchedScheme).
-uint64_t PatchedBytes(const uint64_t histogram[65], uint64_t n,
-                      uint64_t value_size) {
-  uint64_t exceptions = 0;
-  uint64_t best = ~uint64_t{0};
-  for (int w = MaxWidth(histogram); w >= 0; --w) {
-    const uint64_t bytes = bits::PackedByteSize(n, w) +
-                           exceptions * (sizeof(uint32_t) + value_size);
-    best = std::min(best, bytes);
-    exceptions += histogram[w];
-  }
-  return best == ~uint64_t{0} ? 0 : best;
-}
-
-uint64_t VByteBytes(const uint64_t histogram[65]) {
+uint64_t VByteBytes(const WidthHistogram& histogram) {
   uint64_t total = 0;
   for (int w = 0; w <= 64; ++w) {
     total += histogram[w] * static_cast<uint64_t>(
@@ -83,7 +30,6 @@ std::vector<CandidateEvaluation> BuildCandidates(const Column<T>& col) {
   const uint64_t n = col.size();
   const uint64_t value_size = sizeof(T);
   const ColumnStats stats = ComputeStats(col);
-  const DerivedStats derived = ComputeDerived(col);
   std::vector<CandidateEvaluation> out;
 
   auto add = [&](std::string name, SchemeDescriptor desc, uint64_t bytes) {
@@ -98,26 +44,28 @@ std::vector<CandidateEvaluation> BuildCandidates(const Column<T>& col) {
   add("ID", Id(), n * value_size);
   add("NS", Ns(), bits::PackedByteSize(n, stats.value_bits));
   add("PATCHED-NS", Patched().With("base", Ns()),
-      PatchedBytes(derived.raw_width_histogram, n, value_size));
-  add("VBYTE", VByte(), VByteBytes(derived.raw_width_histogram));
+      ChoosePatchedWidth(stats.raw_width_histogram, value_size).bytes);
+  add("VBYTE", VByte(), VByteBytes(stats.raw_width_histogram));
 
   add("DELTA-NS", MakeDeltaNs(),
-      bits::PackedByteSize(n, MaxWidth(derived.delta_width_histogram)));
+      bits::PackedByteSize(n, stats.max_delta_zigzag_bits_with_head));
   add("DELTA-PATCHED-NS",
       Delta().With("deltas",
                    ZigZag().With("recoded", Patched().With("base", Ns()))),
-      PatchedBytes(derived.delta_width_histogram, n, value_size));
+      ChoosePatchedWidth(stats.delta_width_histogram, value_size).bytes);
   add("DELTA-VBYTE", MakeDeltaVByte(),
-      VByteBytes(derived.delta_width_histogram));
+      VByteBytes(stats.delta_width_histogram));
 
   if (stats.run_count > 0 && stats.avg_run_length >= 1.5) {
     const int length_bits = bits::BitWidth(stats.max_run_length);
     add("RLE-NS", MakeRleNs(),
         bits::PackedByteSize(stats.run_count,
                              length_bits + stats.value_bits));
+    // The run values' deltas are the column's nonzero deltas.
     add("RLE-DELTA", MakeRleDelta(),
-        bits::PackedByteSize(stats.run_count,
-                             length_bits + derived.run_value_delta_bits));
+        bits::PackedByteSize(
+            stats.run_count,
+            length_bits + stats.max_delta_zigzag_bits_with_head));
     add("RPE", Rpe(),
         stats.run_count * (sizeof(uint32_t) + value_size));
   }
@@ -129,32 +77,30 @@ std::vector<CandidateEvaluation> BuildCandidates(const Column<T>& col) {
             stats.distinct * value_size);
   }
 
-  for (const uint64_t ell : {uint64_t{128}, uint64_t{1024}}) {
-    const int residual_width = StepResidualWidth(col, ell);
-    add("FOR-" + std::to_string(ell), MakeFor(ell),
-        bits::CeilDiv(n, ell) * value_size +
-            bits::PackedByteSize(n, residual_width));
+  // One walk over the 1024-row segments: the residuals against each
+  // segment's minimum price PFOR-1024, and the widest of them is FOR-1024's
+  // width.
+  constexpr uint64_t kPforEll = 1024;
+  WidthHistogram residual_histogram{};
+  int residual_width = 0;
+  for (uint64_t begin = 0; begin < n; begin += kPforEll) {
+    const uint64_t end = std::min<uint64_t>(begin + kPforEll, n);
+    const T lo = *std::min_element(col.begin() + begin, col.begin() + end);
+    for (uint64_t i = begin; i < end; ++i) {
+      const int w = bits::BitWidth(static_cast<uint64_t>(col[i] - lo));
+      ++residual_histogram[w];
+      residual_width = std::max(residual_width, w);
+    }
   }
-
-  // PFOR at ell=1024: price the patched residual exactly via a residual
-  // histogram (one extra pass).
-  {
-    const uint64_t ell = 1024;
-    uint64_t residual_histogram[65] = {};
-    for (uint64_t begin = 0; begin < n; begin += ell) {
-      const uint64_t end = std::min<uint64_t>(begin + ell, n);
-      T lo = col[begin];
-      for (uint64_t i = begin + 1; i < end; ++i) lo = std::min(lo, col[i]);
-      for (uint64_t i = begin; i < end; ++i) {
-        ++residual_histogram[bits::BitWidth(
-            static_cast<uint64_t>(col[i] - lo))];
-      }
-    }
-    if (n > 0) {
-      add("PFOR-1024", MakePfor(ell),
-          bits::CeilDiv(n, ell) * value_size +
-              PatchedBytes(residual_histogram, n, value_size));
-    }
+  const uint64_t refs_1024 = bits::CeilDiv(n, kPforEll) * value_size;
+  add("FOR-128", MakeFor(128),
+      bits::CeilDiv(n, 128) * value_size +
+          bits::PackedByteSize(n, StepResidualWidth(col, 128)));
+  add("FOR-1024", MakeFor(kPforEll),
+      refs_1024 + bits::PackedByteSize(n, residual_width));
+  if (n > 0) {
+    add("PFOR-1024", MakePfor(kPforEll),
+        refs_1024 + ChoosePatchedWidth(residual_histogram, value_size).bytes);
   }
 
   return out;
@@ -214,33 +160,6 @@ Result<SchemeDescriptor> ChooseScheme(const AnyColumn& input,
     chosen[static_cast<size_t>(static_cast<int>(shape))]->Increment();
   }
   return ranked.front().descriptor;
-}
-
-Result<std::vector<ChunkSchemeChoice>> ChooseSchemesChunked(
-    const AnyColumn& input, uint64_t chunk_rows,
-    const AnalyzerOptions& options, const ExecContext& ctx) {
-  if (chunk_rows == 0) {
-    return Status::InvalidArgument("chunk_rows must be positive");
-  }
-  if (input.is_packed()) {
-    return Status::InvalidArgument("analysis requires a plain column");
-  }
-  const uint64_t n = input.size();
-  const uint64_t num_chunks = n == 0 ? 1 : (n + chunk_rows - 1) / chunk_rows;
-  // Chunks are analyzed independently into pre-sized slots; ParallelForOk
-  // surfaces the first failure in chunk order.
-  std::vector<ChunkSchemeChoice> choices(num_chunks);
-  RECOMP_RETURN_NOT_OK(ParallelForOk(ctx, num_chunks, [&](uint64_t i) -> Status {
-    const uint64_t begin = i * chunk_rows;
-    const uint64_t end = std::min<uint64_t>(n, begin + chunk_rows);
-    choices[i].row_begin = begin;
-    choices[i].row_count = end - begin;
-    RECOMP_ASSIGN_OR_RETURN(AnyColumn slice, SliceRows(input, begin, end));
-    RECOMP_ASSIGN_OR_RETURN(choices[i].descriptor,
-                            ChooseScheme(slice, options));
-    return Status::OK();
-  }));
-  return choices;
 }
 
 Result<std::vector<TrialOutcome>> TrialCompressCandidates(

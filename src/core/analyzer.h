@@ -2,11 +2,13 @@
 //
 // "Why it matters", operationally: once classic schemes decompose into
 // primitives, choosing a scheme stops being a pick-from-a-zoo problem and
-// becomes a search over compositions. The analyzer scans a column once
-// (plus one residual pass for the FOR family), prices a candidate set of
-// compositions from the statistics, filters by a decompression-cost budget,
-// and ranks by estimated footprint. TrialCompressCandidates grounds the
-// estimates by actually compressing.
+// becomes a search over compositions. The analyzer reads a column in one
+// statistics walk (ComputeStats, plus its distinct count) and two
+// segment walks for the FOR family (FOR-128's residual width; PFOR-1024's
+// residual histogram, whose widest bucket is also FOR-1024's width), prices
+// a candidate set of compositions from them, filters by a
+// decompression-cost budget, and ranks by estimated footprint.
+// TrialCompressCandidates grounds the estimates by actually compressing.
 
 #ifndef RECOMP_CORE_ANALYZER_H_
 #define RECOMP_CORE_ANALYZER_H_
@@ -18,7 +20,6 @@
 #include "columnar/any_column.h"
 #include "core/descriptor.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace recomp {
 
@@ -48,24 +49,6 @@ Result<std::vector<CandidateEvaluation>> RankCandidates(
 /// The top-ranked candidate's descriptor.
 Result<SchemeDescriptor> ChooseScheme(const AnyColumn& input,
                                       const AnalyzerOptions& options = {});
-
-/// One chunk's scheme choice from ChooseSchemesChunked.
-struct ChunkSchemeChoice {
-  uint64_t row_begin = 0;
-  uint64_t row_count = 0;
-  SchemeDescriptor descriptor;
-};
-
-/// Per-chunk selection: runs the analyzer independently over consecutive
-/// `chunk_rows`-row slices of `input` (the last chunk may be shorter), so a
-/// drifting column — runs here, noise there, a sorted stretch at the end —
-/// gets a different composition wherever that pays. Errors when chunk_rows
-/// is 0; an empty column yields one empty chunk so the choice is total.
-/// Chunks are analyzed independently, so `ctx` fans the search out over its
-/// pool; the choices are identical for any thread count.
-Result<std::vector<ChunkSchemeChoice>> ChooseSchemesChunked(
-    const AnyColumn& input, uint64_t chunk_rows,
-    const AnalyzerOptions& options = {}, const ExecContext& ctx = {});
 
 /// A candidate with its measured (not estimated) footprint.
 struct TrialOutcome {

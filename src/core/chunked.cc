@@ -186,9 +186,7 @@ Result<ChunkedCompressedColumn> CompressChunked(const AnyColumn& input,
 Result<ChunkedCompressedColumn> CompressChunkedAuto(
     const AnyColumn& input, const ChunkingOptions& options,
     const AnalyzerOptions& analyzer_options, const ExecContext& ctx) {
-  // Slice each chunk once and both analyze and compress it, instead of
-  // going through ChooseSchemesChunked (which would slice everything a
-  // second time just to return descriptors).
+  // Each chunk is sliced once, then analyzed and compressed.
   return CompressChunkedImpl(input, options, ctx, std::nullopt,
                              analyzer_options);
 }

@@ -179,9 +179,9 @@ Result<ChunkedCompressedColumn> CompressChunked(
     const ChunkingOptions& options = {}, const ExecContext& ctx = {});
 
 /// Compresses `input` chunk-at-a-time, letting the analyzer choose a
-/// descriptor *per chunk* (ChooseSchemesChunked): the paper's
-/// search-over-compositions run once per segment of the column. The
-/// per-chunk analyzer search is embarrassingly parallel under `ctx`.
+/// descriptor *per chunk*: the paper's search-over-compositions run once
+/// per segment of the column. The per-chunk analyzer search is
+/// embarrassingly parallel under `ctx`.
 Result<ChunkedCompressedColumn> CompressChunkedAuto(
     const AnyColumn& input, const ChunkingOptions& options = {},
     const AnalyzerOptions& analyzer_options = {}, const ExecContext& ctx = {});

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <new>
 
 #include "util/bits.h"
 #include "util/mutex.h"
@@ -261,25 +260,6 @@ MetricsSnapshot Registry::Snapshot() const {
     snap.histograms.push_back({name, histogram->Snapshot()});
   }
   return snap;
-}
-
-void Registry::ResetForTest() {
-  Impl& state = impl();
-  MutexLock lock(&state.mu);
-  // Reconstruct each metric in place: the storage address — what references
-  // cached at call sites point at — must not change, only the values.
-  for (auto& [name, counter] : state.counters) {
-    counter->~Counter();
-    new (counter.get()) Counter();
-  }
-  for (auto& [name, gauge] : state.gauges) {
-    gauge->~Gauge();
-    new (gauge.get()) Gauge();
-  }
-  for (auto& [name, histogram] : state.histograms) {
-    histogram->~Histogram();
-    new (histogram.get()) Histogram();
-  }
 }
 
 }  // namespace recomp::obs

@@ -202,11 +202,6 @@ class Registry {
   /// Point-in-time capture of every metric.
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every metric value in place (names and pointers stay valid).
-  /// For tests and tools that want a clean baseline; not thread-safe
-  /// against concurrent writers — quiesce first.
-  void ResetForTest();
-
  private:
   Registry() = default;
   struct Impl;

@@ -7,7 +7,6 @@ namespace recomp::ops {
 
 namespace {
 std::atomic<bool> g_force_scalar{false};
-std::atomic<bool> g_force_baseline_unpack{false};
 
 bool DetectAvx2() {
 #if defined(RECOMP_COMPILED_AVX2)
@@ -33,13 +32,5 @@ void ForceScalar(bool force) {
 }
 
 bool ScalarForced() { return g_force_scalar.load(std::memory_order_relaxed); }
-
-void ForceBaselineUnpack(bool force) {
-  g_force_baseline_unpack.store(force, std::memory_order_relaxed);
-}
-
-bool BaselineUnpackForced() {
-  return g_force_baseline_unpack.load(std::memory_order_relaxed);
-}
 
 }  // namespace recomp::ops

@@ -20,15 +20,6 @@ void ForceScalar(bool force);
 /// Current ForceScalar setting.
 bool ScalarForced();
 
-/// Benchmark-only knob: routes whole-column u32 unpacks through the
-/// first-generation gather kernel (scalar beyond its width limit) instead of
-/// the width-generic permute kernels, reproducing the pre-cascade decode so
-/// bench_a2 can price the speedup against an honest baseline.
-void ForceBaselineUnpack(bool force);
-
-/// Current ForceBaselineUnpack setting.
-bool BaselineUnpackForced();
-
 }  // namespace recomp::ops
 
 #endif  // RECOMP_OPS_DISPATCH_H_

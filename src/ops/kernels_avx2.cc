@@ -274,44 +274,6 @@ void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
   UnpackScalar(in, in_bytes, begin, i, n, width, out);
 }
 
-void UnpackU32Gather(const uint8_t* in, uint64_t in_bytes, uint64_t n,
-                     int width, uint32_t* out) {
-  RECOMP_DCHECK(width >= 1 && width <= kMaxGatherUnpackWidth,
-                "gather unpack width out of range");
-  // Per 8-lane group: lane j reads 4 bytes at group_byte + ((bit&7)+j*w)/8
-  // and shifts right by ((bit&7)+j*w)%8; shift+width <= 7+25 = 32 bits, so a
-  // 4-byte load always contains the whole value. The 4-byte gather of the
-  // last lane may read past the payload, so groups whose reads could cross
-  // the end are delegated to the scalar tail.
-  const __m256i lane_bits = _mm256_setr_epi32(0, width, 2 * width, 3 * width,
-                                              4 * width, 5 * width, 6 * width,
-                                              7 * width);
-  const __m256i mask = _mm256_set1_epi32(
-      static_cast<int>(bits::LowMask32(width)));
-  const __m256i seven = _mm256_set1_epi32(7);
-
-  uint64_t i = 0;
-  // Highest in-group byte offset is (7 + 7*width)/8; the gather reads 4
-  // bytes there.
-  const uint64_t group_reach = static_cast<uint64_t>((7 + 7 * width) / 8) + 4;
-  for (; i + 8 <= n; i += 8) {
-    const uint64_t bit = i * static_cast<uint64_t>(width);
-    const uint64_t group_byte = bit >> 3;
-    if (RECOMP_PREDICT_FALSE(group_byte + group_reach > in_bytes)) break;
-    const __m256i rel =
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(bit & 7)),
-                         lane_bits);
-    const __m256i byte_off = _mm256_srli_epi32(rel, 3);
-    const __m256i shift = _mm256_and_si256(rel, seven);
-    const __m256i loaded = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(in + group_byte), byte_off, 1);
-    const __m256i vals =
-        _mm256_and_si256(_mm256_srlv_epi32(loaded, shift), mask);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), vals);
-  }
-  UnpackScalar(in, in_bytes, 0, i, n, width, out);
-}
-
 void UnpackAddU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                   uint64_t n, int width, uint32_t addend, uint32_t* out) {
   if (width == 0) {
@@ -463,19 +425,6 @@ void AddConstantU32(const uint32_t* in, uint64_t n, uint32_t addend,
   for (; i < n; ++i) out[i] = in[i] + addend;
 }
 
-void AddConstantU64(const uint64_t* in, uint64_t n, uint64_t addend,
-                    uint64_t* out) {
-  const __m256i a = _mm256_set1_epi64x(static_cast<long long>(addend));
-  uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(x, a));
-  }
-  for (; i < n; ++i) out[i] = in[i] + addend;
-}
-
 void GatherU32(const uint32_t* values, const uint32_t* indices, uint64_t n,
                uint32_t* out) {
   uint64_t i = 0;
@@ -499,11 +448,6 @@ void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
 void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                uint64_t n, int width, uint64_t* out) {
   UnpackScalar(in, in_bytes, begin, 0, n, width, out);
-}
-
-void UnpackU32Gather(const uint8_t* in, uint64_t in_bytes, uint64_t n,
-                     int width, uint32_t* out) {
-  UnpackScalar(in, in_bytes, 0, 0, n, width, out);
 }
 
 void UnpackAddU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
@@ -548,11 +492,6 @@ void PrefixSumInclusiveU64(const uint64_t* in, uint64_t n, uint64_t* out) {
 
 void AddConstantU32(const uint32_t* in, uint64_t n, uint32_t addend,
                     uint32_t* out) {
-  for (uint64_t i = 0; i < n; ++i) out[i] = in[i] + addend;
-}
-
-void AddConstantU64(const uint64_t* in, uint64_t n, uint64_t addend,
-                    uint64_t* out) {
   for (uint64_t i = 0; i < n; ++i) out[i] = in[i] + addend;
 }
 

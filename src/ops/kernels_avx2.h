@@ -22,11 +22,6 @@ inline constexpr int kMaxUnpackWidth = 32;
 /// Maximum bit width the permute-based u64 unpacker handles (all of them).
 inline constexpr int kMaxUnpackWidth64 = 64;
 
-/// Maximum bit width of the first-generation gather-based unpacker, kept as
-/// the measured baseline in bench_a2 (wider values can straddle more than
-/// the 32 bits a gather lane can shift out of).
-inline constexpr int kMaxGatherUnpackWidth = 25;
-
 /// Unpacks `n` `width`-bit values starting at element index `begin` from
 /// `in` (with `in_bytes` readable bytes) into `out[0..n)`. Any width in
 /// [0, 32]; groups whose 36-byte load window would cross the payload end are
@@ -37,12 +32,6 @@ void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
 /// u64 variant: any width in [0, 64], four values per vector.
 void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                uint64_t n, int width, uint64_t* out);
-
-/// First-generation gather-based unpacker (widths 1..kMaxGatherUnpackWidth,
-/// begin fixed at 0). Retained as the "pre-cascade" baseline the A2 bench
-/// prices the permute kernels against; see ops::ForceBaselineUnpack().
-void UnpackU32Gather(const uint8_t* in, uint64_t in_bytes, uint64_t n,
-                     int width, uint32_t* out);
 
 /// Fused FOR reconstruction: out[i] = unpack(begin + i) + addend. One pass,
 /// register-to-register; powers segment-wise MODELED(STEP) decode.
@@ -73,8 +62,6 @@ void PrefixSumInclusiveU64(const uint64_t* in, uint64_t n, uint64_t* out);
 /// out[i] = in[i] + addend.
 void AddConstantU32(const uint32_t* in, uint64_t n, uint32_t addend,
                     uint32_t* out);
-void AddConstantU64(const uint64_t* in, uint64_t n, uint64_t addend,
-                    uint64_t* out);
 
 /// out[i] = values[indices[i]] via vpgatherdd.
 void GatherU32(const uint32_t* values, const uint32_t* indices, uint64_t n,

@@ -127,22 +127,12 @@ Result<Column<T>> Unpack(const PackedColumn& packed) {
   }
   if constexpr (std::is_same_v<T, uint32_t>) {
     if (HasAvx2()) {
-      if (BaselineUnpackForced()) {
-        // Pre-cascade decode for bench_a2: the gather kernel where it
-        // applied, scalar everywhere else.
-        if (packed.bit_width <= avx2::kMaxGatherUnpackWidth) {
-          avx2::UnpackU32Gather(packed.bytes.data(), packed.bytes.size(),
-                                packed.n, packed.bit_width, out.data());
-          return out;
-        }
-      } else {
-        avx2::UnpackU32(packed.bytes.data(), packed.bytes.size(), 0, packed.n,
-                        packed.bit_width, out.data());
-        return out;
-      }
+      avx2::UnpackU32(packed.bytes.data(), packed.bytes.size(), 0, packed.n,
+                      packed.bit_width, out.data());
+      return out;
     }
   } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (HasAvx2() && !BaselineUnpackForced()) {
+    if (HasAvx2()) {
       avx2::UnpackU64(packed.bytes.data(), packed.bytes.size(), 0, packed.n,
                       packed.bit_width, out.data());
       return out;
@@ -186,13 +176,13 @@ Status UnpackRange(const PackedColumn& packed, uint64_t begin, uint64_t end,
   // without touching the rest of the payload.
   const uint64_t count = end - begin;
   if constexpr (std::is_same_v<T, uint32_t>) {
-    if (HasAvx2() && !BaselineUnpackForced()) {
+    if (HasAvx2()) {
       avx2::UnpackU32(packed.bytes.data(), packed.bytes.size(), begin, count,
                       packed.bit_width, out);
       return Status::OK();
     }
   } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (HasAvx2() && !BaselineUnpackForced()) {
+    if (HasAvx2()) {
       avx2::UnpackU64(packed.bytes.data(), packed.bytes.size(), begin, count,
                       packed.bit_width, out);
       return Status::OK();

@@ -5,8 +5,10 @@
 // exception mechanism of PFOR-style schemes.
 //
 // An auto width is chosen by exact cost minimization over the bit-width
-// histogram: bytes(w) = packed_base(w) + patches(w) * (position + value).
+// histogram: bytes(w) = packed_base(w) + patches(w) * (position + value),
+// the rule the analyzer prices PATCHED with (ChoosePatchedWidth).
 
+#include "columnar/stats.h"
 #include "schemes/all_schemes.h"
 #include "schemes/scheme_internal.h"
 #include "util/bits.h"
@@ -101,31 +103,11 @@ class PatchedScheme final : public Scheme {
   }
 
  private:
-  /// Exact cost minimization over the bit-width histogram.
   template <typename T>
   static int ChooseWidth(const Column<T>& col) {
-    uint64_t histogram[65] = {};
-    int max_width = 0;
-    for (const T v : col) {
-      const int w = bits::BitWidth(static_cast<uint64_t>(v));
-      ++histogram[w];
-      max_width = std::max(max_width, w);
-    }
-    // exceptions(w): values needing more than w bits.
-    uint64_t exceptions = 0;
-    uint64_t best_bytes = ~uint64_t{0};
-    int best_width = max_width;
-    for (int w = max_width; w >= 0; --w) {
-      const uint64_t patch_bytes =
-          exceptions * (sizeof(uint32_t) + sizeof(T));
-      const uint64_t bytes = bits::PackedByteSize(col.size(), w) + patch_bytes;
-      if (bytes < best_bytes) {
-        best_bytes = bytes;
-        best_width = w;
-      }
-      exceptions += histogram[w];  // Values of exactly w bits overflow w-1.
-    }
-    return best_width;
+    WidthHistogram histogram{};
+    for (const T v : col) ++histogram[bits::BitWidth(static_cast<uint64_t>(v))];
+    return ChoosePatchedWidth(histogram, sizeof(T)).width;
   }
 };
 

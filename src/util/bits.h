@@ -51,13 +51,6 @@ constexpr int TypeBits() {
   return static_cast<int>(sizeof(T) * 8);
 }
 
-/// Saturating narrowing check: true iff `v` fits in `width` bits.
-template <typename T>
-constexpr bool FitsInWidth(T v, int width) {
-  static_assert(std::is_unsigned_v<T>);
-  return BitWidth(v) <= width;
-}
-
 }  // namespace recomp::bits
 
 #endif  // RECOMP_UTIL_BITS_H_

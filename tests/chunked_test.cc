@@ -127,34 +127,6 @@ TEST(ChunkedTest, AutoPicksDifferentDescriptorsPerChunk) {
   EXPECT_TRUE(*back == input);
 }
 
-TEST(ChunkedTest, ChooseSchemesChunkedMatchesAutoCompression) {
-  const Column<uint32_t> col = MixedShapes(kChunk, 19);
-  const AnyColumn input(col);
-  auto choices = ChooseSchemesChunked(input, kChunk);
-  ASSERT_OK(choices.status());
-  auto chunked = CompressChunkedAuto(input, {kChunk});
-  ASSERT_OK(chunked.status());
-  ASSERT_EQ(choices->size(), chunked->num_chunks());
-  uint64_t expected_begin = 0;
-  for (uint64_t i = 0; i < choices->size(); ++i) {
-    const ChunkSchemeChoice& choice = (*choices)[i];
-    EXPECT_EQ(choice.row_begin, expected_begin);
-    EXPECT_EQ(choice.row_count, chunked->chunk(i).zone.row_count);
-    // The standalone entry point and the auto compressor agree on the
-    // resolved composition's shape (parameters resolve at compress time).
-    EXPECT_EQ(choice.descriptor.kind,
-              chunked->chunk(i).column.Descriptor().kind);
-    expected_begin += choice.row_count;
-  }
-  EXPECT_EQ(expected_begin, col.size());
-
-  auto empty = ChooseSchemesChunked(AnyColumn(Column<uint32_t>{}), kChunk);
-  ASSERT_OK(empty.status());
-  ASSERT_EQ(empty->size(), 1u);
-  EXPECT_EQ((*empty)[0].row_count, 0u);
-  EXPECT_FALSE(ChooseSchemesChunked(input, 0).ok());
-}
-
 TEST(ChunkedTest, WholeColumnIsTheSingleChunkSpecialCase) {
   const Column<uint32_t> col = gen::SortedRuns(10000, 20.0, 3, 29);
   auto whole = Compress(AnyColumn(col), MakeRle());

@@ -164,18 +164,6 @@ TEST(ParallelExecTest, ParallelCompressionMatchesSequential) {
               par_auto->chunk(i).column.Descriptor());
   }
 
-  // The standalone per-chunk chooser agrees with itself under a pool.
-  auto seq_choices = ChooseSchemesChunked(input, kChunk);
-  auto par_choices = ChooseSchemesChunked(input, kChunk, {}, ctx);
-  ASSERT_OK(seq_choices.status());
-  ASSERT_OK(par_choices.status());
-  ASSERT_EQ(seq_choices->size(), par_choices->size());
-  for (size_t i = 0; i < seq_choices->size(); ++i) {
-    EXPECT_EQ((*seq_choices)[i].row_begin, (*par_choices)[i].row_begin);
-    EXPECT_EQ((*seq_choices)[i].row_count, (*par_choices)[i].row_count);
-    EXPECT_TRUE((*seq_choices)[i].descriptor == (*par_choices)[i].descriptor);
-  }
-
   // Roundtrip through the parallel compressor and decompressor.
   auto back = DecompressChunked(*par_auto, ctx);
   ASSERT_OK(back.status());

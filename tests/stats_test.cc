@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "columnar/stats.h"
+#include "util/bits.h"
+#include "util/random.h"
 
 namespace recomp {
 namespace {
@@ -11,7 +17,6 @@ TEST(StatsTest, EmptyColumn) {
   ColumnStats s = ComputeStats(Column<uint32_t>{});
   EXPECT_EQ(s.n, 0u);
   EXPECT_EQ(s.run_count, 0u);
-  EXPECT_FALSE(s.sorted_nondecreasing);
 }
 
 TEST(StatsTest, SingleValue) {
@@ -21,10 +26,7 @@ TEST(StatsTest, SingleValue) {
   EXPECT_EQ(s.max, 42u);
   EXPECT_EQ(s.run_count, 1u);
   EXPECT_EQ(s.distinct, 1u);
-  EXPECT_TRUE(s.sorted_nondecreasing);
-  EXPECT_TRUE(s.strictly_increasing);
   EXPECT_EQ(s.value_bits, 6);
-  EXPECT_EQ(s.range_bits, 0);
 }
 
 TEST(StatsTest, RunsAndSortedness) {
@@ -32,29 +34,23 @@ TEST(StatsTest, RunsAndSortedness) {
   EXPECT_EQ(s.run_count, 3u);
   EXPECT_EQ(s.max_run_length, 4u);
   EXPECT_DOUBLE_EQ(s.avg_run_length, 3.0);
-  EXPECT_TRUE(s.sorted_nondecreasing);
-  EXPECT_FALSE(s.strictly_increasing);
   EXPECT_EQ(s.distinct, 3u);
 }
 
 TEST(StatsTest, UnsortedDetected) {
   ColumnStats s = ComputeStats(Column<uint32_t>{3, 1, 2});
-  EXPECT_FALSE(s.sorted_nondecreasing);
   EXPECT_EQ(s.run_count, 3u);
 }
 
 TEST(StatsTest, DeltaBitsForSortedData) {
   // Deltas: 10 (head), then 2, 2, 2 -> zigzagged small.
   ColumnStats s = ComputeStats(Column<uint32_t>{10, 12, 14, 16});
-  EXPECT_TRUE(s.strictly_increasing);
-  EXPECT_EQ(s.max_delta_zigzag_bits, 3);  // zigzag(2) = 4 -> 3 bits
   EXPECT_EQ(s.max_delta_zigzag_bits_with_head, 5);  // zigzag(10) = 20
 }
 
 TEST(StatsTest, RangeVsValueBits) {
   ColumnStats s = ComputeStats(Column<uint32_t>{1000, 1001, 1003});
   EXPECT_EQ(s.value_bits, 10);
-  EXPECT_EQ(s.range_bits, 2);  // max - min = 3
 }
 
 TEST(StatsTest, DistinctCapped) {
@@ -82,21 +78,161 @@ TEST(StatsTest, StepResidualWidthEmptyOrZeroEll) {
   EXPECT_EQ(StepResidualWidth(Column<uint32_t>{1, 2}, 0), 0);
 }
 
-TEST(StatsTest, WidthCoveringFraction) {
-  // 90 small values (4 bits), 10 large (20 bits).
-  Column<uint32_t> col;
-  for (int i = 0; i < 90; ++i) col.push_back(9);        // 4 bits
-  for (int i = 0; i < 10; ++i) col.push_back(1 << 19);  // 20 bits
-  EXPECT_EQ(WidthCoveringFraction(col, 0.0), 20);
-  EXPECT_EQ(WidthCoveringFraction(col, 0.10), 4);
-  EXPECT_EQ(WidthCoveringFraction(col, 0.05), 20);
-}
-
 TEST(StatsTest, WorksForAllUnsignedWidths) {
   ColumnStats s8 = ComputeStats(Column<uint8_t>{255, 0});
   EXPECT_EQ(s8.value_bits, 8);
   ColumnStats s64 = ComputeStats(Column<uint64_t>{~uint64_t{0}});
   EXPECT_EQ(s64.value_bits, 64);
+}
+
+// ---------------------------------------------------------------------------
+// The one pass against direct recounts, and the PATCHED rule against brute
+// force.
+// ---------------------------------------------------------------------------
+
+uint64_t ZigZagDelta(uint64_t v, uint64_t prev) {
+  const uint64_t diff = v - prev;
+  return (diff << 1) ^ (0 - (diff >> 63));
+}
+
+template <typename T>
+WidthHistogram RecountWidths(const Column<T>& col) {
+  WidthHistogram histogram{};
+  for (const T v : col) ++histogram[bits::BitWidth(uint64_t{v})];
+  return histogram;
+}
+
+template <typename T>
+WidthHistogram RecountDeltaWidths(const Column<T>& col) {
+  WidthHistogram histogram{};
+  for (uint64_t i = 0; i < col.size(); ++i) {
+    ++histogram[bits::BitWidth(ZigZagDelta(col[i], i == 0 ? 0 : col[i - 1]))];
+  }
+  return histogram;
+}
+
+/// Widest zigzag delta between consecutive run values, the first against 0.
+template <typename T>
+int RecountRunValueDeltaBits(const Column<T>& col) {
+  int widest = 0;
+  uint64_t prev_run_value = 0;
+  for (uint64_t i = 0; i < col.size(); ++i) {
+    if (i > 0 && col[i] == col[i - 1]) continue;
+    widest = std::max(widest, bits::BitWidth(ZigZagDelta(col[i],
+                                                         prev_run_value)));
+    prev_run_value = col[i];
+  }
+  return widest;
+}
+
+/// PATCHED's bytes at every base width up to the widest value, counted from
+/// the values themselves; the cheapest, widest among ties.
+PatchedWidth BruteForcePatched(const std::vector<uint64_t>& values,
+                               uint64_t value_size) {
+  int widest = 0;
+  for (const uint64_t v : values) widest = std::max(widest, bits::BitWidth(v));
+  PatchedWidth best{0, std::numeric_limits<uint64_t>::max()};
+  for (int w = 0; w <= widest; ++w) {
+    uint64_t patches = 0;
+    for (const uint64_t v : values) patches += bits::BitWidth(v) > w ? 1 : 0;
+    const uint64_t bytes = bits::PackedByteSize(values.size(), w) +
+                           patches * (sizeof(uint32_t) + value_size);
+    if (bytes <= best.bytes) best = {w, bytes};
+  }
+  return best;
+}
+
+template <typename T>
+void ExpectPassMatchesRecount(const Column<T>& col, const char* label) {
+  SCOPED_TRACE(label);
+  const ColumnStats s = ComputeStats(col);
+  EXPECT_EQ(s.raw_width_histogram, RecountWidths(col));
+  EXPECT_EQ(s.delta_width_histogram, RecountDeltaWidths(col));
+  int widest_delta = 0;
+  for (int w = 0; w <= 64; ++w) {
+    if (s.delta_width_histogram[w] != 0) widest_delta = w;
+  }
+  EXPECT_EQ(s.max_delta_zigzag_bits_with_head, widest_delta);
+  EXPECT_EQ(s.max_delta_zigzag_bits_with_head, RecountRunValueDeltaBits(col));
+
+  std::vector<uint64_t> values(col.begin(), col.end());
+  std::vector<uint64_t> deltas;
+  for (uint64_t i = 0; i < col.size(); ++i) {
+    deltas.push_back(ZigZagDelta(col[i], i == 0 ? 0 : col[i - 1]));
+  }
+  const PatchedWidth raw = ChoosePatchedWidth(RecountWidths(col), sizeof(T));
+  const PatchedWidth raw_expected = BruteForcePatched(values, sizeof(T));
+  EXPECT_EQ(raw.width, raw_expected.width);
+  EXPECT_EQ(raw.bytes, raw_expected.bytes);
+  const PatchedWidth delta =
+      ChoosePatchedWidth(RecountDeltaWidths(col), sizeof(T));
+  const PatchedWidth delta_expected = BruteForcePatched(deltas, sizeof(T));
+  EXPECT_EQ(delta.width, delta_expected.width);
+  EXPECT_EQ(delta.bytes, delta_expected.bytes);
+}
+
+/// Runs, narrow values and full-width outliers, so every bucket class, run
+/// length and PATCHED trade-off shows up.
+template <typename T>
+Column<T> RandomColumn(Rng& rng) {
+  Column<T> col(rng.Below(3000));
+  const int type_bits = bits::TypeBits<T>();
+  for (uint64_t i = 0; i < col.size(); ++i) {
+    if (i > 0 && rng.Bernoulli(0.3)) {
+      col[i] = col[i - 1];
+      continue;
+    }
+    const int width = rng.Bernoulli(0.05)
+                          ? type_bits
+                          : static_cast<int>(rng.Below(type_bits / 2 + 1));
+    col[i] = static_cast<T>(rng.Next() & bits::LowMask64(width));
+  }
+  return col;
+}
+
+template <typename T>
+void CheckEveryColumnShape(uint64_t seed) {
+  constexpr T kMax = std::numeric_limits<T>::max();
+  ExpectPassMatchesRecount(Column<T>{}, "empty");
+  ExpectPassMatchesRecount(Column<T>{0}, "one zero");
+  ExpectPassMatchesRecount(Column<T>{kMax}, "one max");
+  ExpectPassMatchesRecount(Column<T>(100, 0), "all zero");
+  ExpectPassMatchesRecount(Column<T>(100, kMax), "all max");
+  Column<T> alternating(101);
+  Column<T> descending(300);
+  for (uint64_t i = 0; i < alternating.size(); ++i) {
+    alternating[i] = i % 2 == 0 ? T{0} : kMax;
+  }
+  for (uint64_t i = 0; i < descending.size(); ++i) {
+    descending[i] = static_cast<T>(kMax - i);
+  }
+  ExpectPassMatchesRecount(alternating, "alternating 0/max");
+  ExpectPassMatchesRecount(descending, "descending from max");
+  Rng rng(seed);
+  for (int trial = 0; trial < 40; ++trial) {
+    ExpectPassMatchesRecount(RandomColumn<T>(rng), "random");
+  }
+}
+
+TEST(StatsTest, OnePassMatchesRecountAtEveryWidth) {
+  CheckEveryColumnShape<uint8_t>(1);
+  CheckEveryColumnShape<uint16_t>(2);
+  CheckEveryColumnShape<uint32_t>(3);
+  CheckEveryColumnShape<uint64_t>(4);
+}
+
+TEST(StatsTest, PatchedWidthPrefersWidestAmongTies) {
+  // 39 one-bit u8 values and one two-bit value: w = 2 packs 10 bytes, and
+  // w = 1 packs 5 bytes plus one 5-byte patch. The tie goes to w = 2.
+  WidthHistogram histogram{};
+  histogram[1] = 39;
+  histogram[2] = 1;
+  const PatchedWidth choice = ChoosePatchedWidth(histogram, sizeof(uint8_t));
+  EXPECT_EQ(choice.width, 2);
+  EXPECT_EQ(choice.bytes, 10u);
+  const PatchedWidth empty = ChoosePatchedWidth(WidthHistogram{}, 4);
+  EXPECT_EQ(empty.width, 0);
+  EXPECT_EQ(empty.bytes, 0u);
 }
 
 }  // namespace
