@@ -13,8 +13,12 @@
 //   - memcpy:   a copy of the same output bytes, the bandwidth ceiling.
 // Scalar and AVX2 dispatch are asserted bit-identical in-bench before any
 // timing, and the gated shapes must decode at >= 2x the seed's bytes/cycle
-// whenever AVX2 is live. Run with --json[=PATH] to dump shape -> bytes/cycle
-// (BENCH_A2.json by default).
+// whenever AVX2 is live. A second table times the other direction,
+// ops::Pack of u32 values (what sealing an NS chunk runs; u64 has no pack
+// kernel), scalar against AVX2 in GB/s of input per width; it exits 1 when
+// the two payloads differ or one does not unpack to its input. Run with
+// --json[=PATH] to dump shape -> bytes/cycle and pack.u32.w<width>[.scalar]
+// -> GB/s (BENCH_A2.json by default).
 
 #include <chrono>
 #include <cstring>
@@ -30,6 +34,10 @@
 #include "gen/generators.h"
 #include "obs/metrics.h"
 #include "ops/dispatch.h"
+#include "ops/pack.h"
+#include "util/bits.h"
+#include "util/random.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -178,6 +186,53 @@ Result<AnyColumn> SeedDecode(const CompressedColumn& compressed) {
   return out;
 }
 
+/// Pack bandwidth per width, scalar against AVX2 (the live dispatch), in
+/// GB/s of input. Both payloads must be identical and unpack to the input.
+template <typename T>
+void PrintPackTable(const char* type, std::initializer_list<int> widths) {
+  bench::Section(std::string("A2: pack bandwidth, ") + type +
+                 " (ops::Pack, GB/s of input)");
+  std::printf("%-8s %10s %10s %9s\n", "width", "scalar", "avx2", "speedup");
+  const uint64_t bytes = kValues * sizeof(T);
+  Rng rng(13);
+  for (const int width : widths) {
+    Column<T> values(kValues);
+    for (T& v : values) v = static_cast<T>(rng.Next() & bits::LowMask64(width));
+    const std::string name = StringFormat("pack.%s.w%d", type, width);
+    const PackedColumn simd =
+        bench::ValueOrDie(ops::Pack(values, width), name.c_str());
+    ops::ForceScalar(true);
+    const PackedColumn scalar =
+        bench::ValueOrDie(ops::Pack(values, width), name.c_str());
+    ops::ForceScalar(false);
+    const Column<T> back =
+        bench::ValueOrDie(ops::Unpack<T>(simd), name.c_str());
+    if (!(simd == scalar) || back != values) {
+      std::fprintf(stderr,
+                   "FATAL %s: scalar and AVX2 payloads differ or do not "
+                   "round-trip\n",
+                   name.c_str());
+      std::exit(1);
+    }
+    const auto pack = [&] {
+      auto out = ops::Pack(values, width);
+      bench::CheckOk(out.status(), name.c_str());
+      benchmark::DoNotOptimize(out->bytes.data());
+      benchmark::ClobberMemory();
+    };
+    const Measurement simd_m = MeasureBest(bytes, pack);
+    ops::ForceScalar(true);
+    const Measurement scalar_m = MeasureBest(bytes, pack);
+    ops::ForceScalar(false);
+    const double simd_gb_s = simd_m.mbps / 1e3;
+    const double scalar_gb_s = scalar_m.mbps / 1e3;
+    std::printf("%-8d %10.2f %10.2f %8.2fx\n", width, scalar_gb_s, simd_gb_s,
+                scalar_gb_s > 0 ? simd_gb_s / scalar_gb_s : 0.0);
+    bench::JsonReport::Instance().Set(name, simd_gb_s);
+    bench::JsonReport::Instance().Set(name + ".scalar", scalar_gb_s);
+  }
+}
+
 void PrintTables() {
   bench::Section(
       "A2: decode bandwidth — fused cascade vs materializing decode");
@@ -256,6 +311,8 @@ void PrintTables() {
       std::exit(1);
     }
   }
+
+  PrintPackTable<uint32_t>("u32", {1, 5, 8, 13, 20, 27, 32});
 
   // Instrumentation overhead gate: the fused decode with the metric
   // registry live vs obs::SetEnabled(false) must stay within

@@ -46,11 +46,24 @@ struct ColumnStats {
   /// consecutive run values.
   int max_delta_zigzag_bits_with_head = 0;
 
+  /// StepResidualWidth(col, kShortSegment): FOR-128's residual width.
+  int short_segment_residual_bits = 0;
+  /// Bit widths of each value minus the minimum of its kLongSegment-row
+  /// segment: what PFOR-1024's residuals hold.
+  WidthHistogram long_segment_residual_histogram{};
+  /// Its widest bucket: FOR-1024's residual width; 0 when n == 0.
+  int long_segment_residual_bits = 0;
+
   static constexpr uint64_t kDistinctCap = 1u << 16;
+  /// Segment lengths of the FOR family the analyzer prices.
+  static constexpr uint64_t kShortSegment = 128;
+  static constexpr uint64_t kLongSegment = 1024;
 };
 
-/// Computes full statistics in one walk over the column plus the distinct
-/// count.
+/// Computes every statistic in one walk over the column, segment by
+/// segment (each kLongSegment-row segment is re-read once, from L1, for its
+/// residuals), plus the exact distinct count in a flat open-addressing set
+/// sized from min(n, kDistinctCap), which allocates once, not per value.
 template <typename T>
 ColumnStats ComputeStats(const Column<T>& col);
 

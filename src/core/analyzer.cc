@@ -77,30 +77,18 @@ std::vector<CandidateEvaluation> BuildCandidates(const Column<T>& col) {
             stats.distinct * value_size);
   }
 
-  // One walk over the 1024-row segments: the residuals against each
-  // segment's minimum price PFOR-1024, and the widest of them is FOR-1024's
-  // width.
-  constexpr uint64_t kPforEll = 1024;
-  WidthHistogram residual_histogram{};
-  int residual_width = 0;
-  for (uint64_t begin = 0; begin < n; begin += kPforEll) {
-    const uint64_t end = std::min<uint64_t>(begin + kPforEll, n);
-    const T lo = *std::min_element(col.begin() + begin, col.begin() + end);
-    for (uint64_t i = begin; i < end; ++i) {
-      const int w = bits::BitWidth(static_cast<uint64_t>(col[i] - lo));
-      ++residual_histogram[w];
-      residual_width = std::max(residual_width, w);
-    }
-  }
-  const uint64_t refs_1024 = bits::CeilDiv(n, kPforEll) * value_size;
-  add("FOR-128", MakeFor(128),
-      bits::CeilDiv(n, 128) * value_size +
-          bits::PackedByteSize(n, StepResidualWidth(col, 128)));
-  add("FOR-1024", MakeFor(kPforEll),
-      refs_1024 + bits::PackedByteSize(n, residual_width));
+  const uint64_t long_refs =
+      bits::CeilDiv(n, ColumnStats::kLongSegment) * value_size;
+  add("FOR-128", MakeFor(ColumnStats::kShortSegment),
+      bits::CeilDiv(n, ColumnStats::kShortSegment) * value_size +
+          bits::PackedByteSize(n, stats.short_segment_residual_bits));
+  add("FOR-1024", MakeFor(ColumnStats::kLongSegment),
+      long_refs + bits::PackedByteSize(n, stats.long_segment_residual_bits));
   if (n > 0) {
-    add("PFOR-1024", MakePfor(kPforEll),
-        refs_1024 + ChoosePatchedWidth(residual_histogram, value_size).bytes);
+    add("PFOR-1024", MakePfor(ColumnStats::kLongSegment),
+        long_refs + ChoosePatchedWidth(stats.long_segment_residual_histogram,
+                                       value_size)
+                        .bytes);
   }
 
   return out;

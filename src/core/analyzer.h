@@ -3,10 +3,10 @@
 // "Why it matters", operationally: once classic schemes decompose into
 // primitives, choosing a scheme stops being a pick-from-a-zoo problem and
 // becomes a search over compositions. The analyzer reads a column in one
-// statistics walk (ComputeStats, plus its distinct count) and two
-// segment walks for the FOR family (FOR-128's residual width; PFOR-1024's
-// residual histogram, whose widest bucket is also FOR-1024's width), prices
-// a candidate set of compositions from them, filters by a
+// statistics walk (ComputeStats: value and delta widths, runs, FOR-128's
+// residual width and PFOR-1024's residual histogram, whose widest bucket is
+// also FOR-1024's width, plus an allocation-free exact distinct count),
+// prices a candidate set of compositions from it, filters by a
 // decompression-cost budget, and ranks by estimated footprint.
 // TrialCompressCandidates grounds the estimates by actually compressing.
 

@@ -17,10 +17,16 @@ ZoneMap ComputeZoneMap(const AnyColumn& slice, uint64_t row_begin) {
   if (slice.size() == 0) return zone;
   const Status status = internal::DispatchUnsignedColumn(
       slice, [&](const auto& col) -> Status {
-        const auto [lo, hi] = std::minmax_element(col.begin(), col.end());
+        // By value, not through iterators: the loop vectorizes.
+        auto lo = col[0];
+        auto hi = col[0];
+        for (const auto v : col) {
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
         zone.has_minmax = true;
-        zone.min = static_cast<uint64_t>(*lo);
-        zone.max = static_cast<uint64_t>(*hi);
+        zone.min = static_cast<uint64_t>(lo);
+        zone.max = static_cast<uint64_t>(hi);
         return Status::OK();
       });
   (void)status;

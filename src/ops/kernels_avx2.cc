@@ -191,6 +191,116 @@ class UnpackerU64 {
   __m256i mask_;
 };
 
+/// One merge round of the pack kernel: output qword q is source qword
+/// left[q] shifted left by left_count[q], ORed with source qword carry[q]
+/// shifted right by carry_count[q]. A count of 64 contributes nothing
+/// (AVX2's variable shifts yield 0 for counts of 64 or more), so a round is
+/// two permutes and two shifts whatever the width.
+class MergeRound {
+ public:
+  MergeRound(const int (&left)[4], const int (&left_count)[4],
+             const int (&carry)[4], const int (&carry_count)[4])
+      : left_(QwordIndex(left)),
+        left_count_(Counts(left_count)),
+        carry_(QwordIndex(carry)),
+        carry_count_(Counts(carry_count)) {}
+
+  /// Each 128-bit half [a, b], both `shift` bits wide, becomes the
+  /// 2 * shift-bit value a | b << shift; this supplies everything but a.
+  static MergeRound PairsInHalves(int shift) {
+    return MergeRound({1, 0, 3, 0}, {shift, 64, shift, 64}, {0, 1, 0, 3},
+                      {64, 64 - shift, 64, 64 - shift});
+  }
+
+  /// The high half (qwords 2 and 3), read as one 128-bit number, shifted
+  /// up `shift` bits into output qwords 0-3.
+  static MergeRound HighHalfUp(int shift) {
+    int left[4], left_count[4], carry[4], carry_count[4];
+    const int whole = shift / 64;
+    const int part = shift % 64;
+    for (int lane = 0; lane < 4; ++lane) {
+      const int low = lane - whole;  // Lands with its low bits.
+      const int high = low - 1;      // Spills its high bits.
+      const bool has_low = low >= 0 && low < 2;
+      const bool has_high = part > 0 && high >= 0 && high < 2;
+      left[lane] = 2 + (has_low ? low : 0);
+      left_count[lane] = has_low ? part : 64;
+      carry[lane] = 2 + (has_high ? high : 0);
+      carry_count[lane] = has_high ? 64 - part : 64;
+    }
+    return MergeRound(left, left_count, carry, carry_count);
+  }
+
+  __m256i Apply(__m256i src) const {
+    return _mm256_or_si256(
+        _mm256_sllv_epi64(_mm256_permutevar8x32_epi32(src, left_),
+                          left_count_),
+        _mm256_srlv_epi64(_mm256_permutevar8x32_epi32(src, carry_),
+                          carry_count_));
+  }
+
+ private:
+  static __m256i QwordIndex(const int (&q)[4]) {
+    return _mm256_setr_epi32(2 * q[0], 2 * q[0] + 1, 2 * q[1], 2 * q[1] + 1,
+                             2 * q[2], 2 * q[2] + 1, 2 * q[3], 2 * q[3] + 1);
+  }
+  static __m256i Counts(const int (&c)[4]) {
+    return _mm256_setr_epi64x(c[0], c[1], c[2], c[3]);
+  }
+
+  __m256i left_;
+  __m256i left_count_;
+  __m256i carry_;
+  __m256i carry_count_;
+};
+
+/// Keeps qwords 0 and 2 (the low qword of each half).
+inline __m256i LowQwordOfHalves(__m256i x) {
+  return _mm256_blend_epi32(_mm256_setzero_si256(), x, 0x33);
+}
+
+/// Keeps the low 128-bit half.
+inline __m256i LowHalf(__m256i x) {
+  return _mm256_blend_epi32(_mm256_setzero_si256(), x, 0x0F);
+}
+
+/// The mirror of UnpackerU32: 8 u32 values become 8 * width bits (exactly
+/// `width` bytes) in three merge rounds, each doubling the packed run: the
+/// dword pair of each qword (2w bits), the qword pair of each half (4w),
+/// then the two halves (8w). Bits past 8w are zero.
+class PackerU32 {
+ public:
+  explicit PackerU32(int width)
+      : mask_(_mm256_set1_epi32(static_cast<int>(bits::LowMask32(width)))),
+        width_(_mm_cvtsi32_si128(width)),
+        pairs_(MergeRound::PairsInHalves(2 * width)),
+        halves_(MergeRound::HighHalfUp(4 * width)) {}
+
+  __m256i Group(__m256i values) const {
+    const __m256i v = _mm256_and_si256(values, mask_);
+    const __m256i pairs = _mm256_or_si256(
+        _mm256_and_si256(v, _mm256_set1_epi64x(0xFFFFFFFF)),
+        _mm256_sll_epi64(_mm256_srli_epi64(v, 32), width_));
+    const __m256i quads =
+        _mm256_or_si256(LowQwordOfHalves(pairs), pairs_.Apply(pairs));
+    return _mm256_or_si256(LowHalf(quads), halves_.Apply(quads));
+  }
+
+ private:
+  __m256i mask_;
+  __m128i width_;
+  MergeRound pairs_;
+  MergeRound halves_;
+};
+
+/// The OR of the four qword lanes.
+inline uint64_t OrLanes(__m256i x) {
+  const __m128i half = _mm_or_si128(_mm256_castsi256_si128(x),
+                                    _mm256_extracti128_si256(x, 1));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(half)) |
+         static_cast<uint64_t>(_mm_extract_epi64(half, 1));
+}
+
 /// Inclusive prefix sum within one 8-lane vector.
 inline __m256i PrefixSum8(__m256i x) {
   x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
@@ -272,6 +382,31 @@ void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                         unpacker.Group(in, bit));
   }
   UnpackScalar(in, in_bytes, begin, i, n, width, out);
+}
+
+uint64_t PackU32(const uint32_t* in, uint64_t n, int width, uint8_t* out,
+                 uint64_t out_bytes, uint64_t* seen) {
+  RECOMP_DCHECK(width >= 0 && width <= kMaxUnpackWidth,
+                "AVX2 pack width out of range");
+  if (width == 0) return 0;
+  const PackerU32 packer(width);
+  const uint64_t uwidth = static_cast<uint64_t>(width);
+  __m256i inputs = _mm256_setzero_si256();
+  uint64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const uint64_t byte = i / 8 * uwidth;
+    if (RECOMP_PREDICT_FALSE(byte + 32 > out_bytes)) break;
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
+    inputs = _mm256_or_si256(inputs, v);
+    // Bits past the group's `width` bytes are zero, and the next group's
+    // store overwrites them.
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + byte),
+                        packer.Group(v));
+  }
+  const uint64_t pairs = OrLanes(inputs);  // Two dwords per qword.
+  *seen |= (pairs | pairs >> 32) & 0xFFFFFFFF;
+  return i;
 }
 
 void UnpackAddU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
@@ -439,6 +574,11 @@ void GatherU32(const uint32_t* values, const uint32_t* indices, uint64_t n,
 }
 
 #else  // !defined(__AVX2__)
+
+uint64_t PackU32(const uint32_t*, uint64_t, int, uint8_t*, uint64_t,
+                 uint64_t*) {
+  return 0;
+}
 
 void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                uint64_t n, int width, uint32_t* out) {

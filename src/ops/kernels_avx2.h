@@ -1,6 +1,7 @@
 // AVX2 kernel entry points (definitions in kernels_avx2.cc, compiled with
 // -mavx2). Callers must check ops::HasAvx2() before calling; when the build
-// disables AVX2 these symbols still exist but delegate to scalar code.
+// disables AVX2 these symbols still exist but delegate to scalar code (the
+// pack kernel then packs nothing and leaves every value to the caller).
 //
 // The unpack kernels are width-generic: one permute-based routine covers
 // every width 1..32 (u32) and 1..64 (u64) at any starting element, so range
@@ -32,6 +33,16 @@ void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
 /// u64 variant: any width in [0, 64], four values per vector.
 void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                uint64_t n, int width, uint64_t* out);
+
+/// The pack kernel mirrors UnpackU32: it packs in[0, n), each value masked
+/// to `width` bits, 8 values (exactly `width` bytes) at a time, for as long
+/// as a group's unconditional 32-byte store stays inside out[0, out_bytes).
+/// It returns how many values it packed, a multiple of 8, so the caller's
+/// scalar loop packs the rest from a byte boundary, and ORs every packed
+/// input, unmasked, into *seen: the caller's fit check rides along in the
+/// same pass. Width 0 packs nothing. u64 columns have no pack kernel.
+uint64_t PackU32(const uint32_t* in, uint64_t n, int width, uint8_t* out,
+                 uint64_t out_bytes, uint64_t* seen);
 
 /// Fused FOR reconstruction: out[i] = unpack(begin + i) + addend. One pass,
 /// register-to-register; powers segment-wise MODELED(STEP) decode.

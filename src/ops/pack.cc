@@ -24,24 +24,79 @@ inline uint64_t LoadLE64Clamped(const uint8_t* p, const uint8_t* end) {
   return v;
 }
 
+/// Packs in[0, n), each value masked to `width` bits, into exactly
+/// PackedByteSize(n, width) bytes at `out`, a 64-bit word at a time.
+/// Returns the OR of the unmasked inputs, so the fit check needs no pass of
+/// its own.
 template <typename T>
-void PackScalar(const T* in, uint64_t n, int width, uint8_t* out) {
+uint64_t PackScalar(const T* in, uint64_t n, int width, uint8_t* out) {
   const uint64_t mask = bits::LowMask64(width);
-  uint64_t bitpos = 0;
+  uint64_t seen = 0;
+  uint64_t word = 0;  // Bits not yet stored, LSB-first.
+  int filled = 0;     // How many; below 64 between values.
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t v = static_cast<uint64_t>(in[i]) & mask;
-    uint64_t byte = bitpos >> 3;
-    const int shift = bitpos & 7;
-    // The first byte may be shared with the previous value's tail: OR into
-    // it. Bytes after it belong to this value alone and can be assigned.
-    out[byte] |= static_cast<uint8_t>(v << shift);
-    v >>= (8 - shift);
-    for (int remaining = width - (8 - shift); remaining > 0; remaining -= 8) {
-      out[++byte] = static_cast<uint8_t>(v);
-      v >>= 8;
+    const uint64_t raw = in[i];
+    seen |= raw;
+    const uint64_t v = raw & mask;
+    word |= v << filled;
+    filled += width;
+    if (filled >= 64) {
+      std::memcpy(out, &word, sizeof(word));
+      out += sizeof(word);
+      filled -= 64;
+      // The high `filled` bits of v did not fit; (v >> 1) >> (width - 1)
+      // is 0 when none are left, where v >> width could shift by 64.
+      word = (v >> 1) >> (width - 1 - filled);
     }
-    bitpos += width;
   }
+  if (filled > 0) {
+    std::memcpy(out, &word, static_cast<size_t>(filled + 7) / 8);
+  }
+  return seen;
+}
+
+/// Packs `col` into `bytes` (PackedByteSize(col.size(), width) of them):
+/// for u32 the AVX2 kernel takes the 8-value groups whose stores fit, and
+/// the scalar loop packs the rest from the byte boundary where it stopped
+/// (8 values fill exactly `width` bytes). Returns the OR of the inputs.
+template <typename T>
+uint64_t PackInto(const Column<T>& col, int width, Column<uint8_t>* bytes) {
+  uint64_t seen = 0;
+  uint64_t done = 0;
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    if (HasAvx2()) {
+      done = avx2::PackU32(col.data(), col.size(), width, bytes->data(),
+                           bytes->size(), &seen);
+    }
+  }
+  uint8_t* rest = bytes->data() + done / 8 * static_cast<uint64_t>(width);
+  return seen | PackScalar(col.data() + done, col.size() - done, width, rest);
+}
+
+/// Pack and PackTruncating: one pass either way; only Pack refuses a value
+/// wider than `width`, naming the first such row.
+template <typename T>
+Result<PackedColumn> PackChecked(const Column<T>& col, int width,
+                                 bool check_fit) {
+  if (width < 0 || width > bits::TypeBits<T>()) {
+    return Status::InvalidArgument(StringFormat(
+        "pack width %d outside [0, %d]", width, bits::TypeBits<T>()));
+  }
+  PackedColumn out;
+  out.bit_width = width;
+  out.n = col.size();
+  out.logical_type = TypeIdOf<T>();
+  out.bytes.resize(bits::PackedByteSize(col.size(), width));
+  const uint64_t seen = PackInto(col, width, &out.bytes);
+  const uint64_t mask = bits::LowMask64(width);
+  if (check_fit && (seen & ~mask) != 0) {
+    uint64_t row = 0;
+    while ((static_cast<uint64_t>(col[row]) & ~mask) == 0) ++row;
+    return Status::InvalidArgument(
+        StringFormat("value at row %llu does not fit in %d bits",
+                     static_cast<unsigned long long>(row), width));
+  }
+  return out;
 }
 
 /// Decodes the single `width`-bit value starting at bit `index * width`.
@@ -74,36 +129,12 @@ void UnpackScalar(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
 
 template <typename T>
 Result<PackedColumn> PackTruncating(const Column<T>& col, int width) {
-  if (width < 0 || width > bits::TypeBits<T>()) {
-    return Status::InvalidArgument(StringFormat(
-        "pack width %d outside [0, %d]", width, bits::TypeBits<T>()));
-  }
-  PackedColumn out;
-  out.bit_width = width;
-  out.n = col.size();
-  out.logical_type = TypeIdOf<T>();
-  out.bytes.assign(bits::PackedByteSize(col.size(), width), 0);
-  if (width > 0 && !col.empty()) {
-    PackScalar(col.data(), col.size(), width, out.bytes.data());
-  }
-  return out;
+  return PackChecked(col, width, /*check_fit=*/false);
 }
 
 template <typename T>
 Result<PackedColumn> Pack(const Column<T>& col, int width) {
-  if (width < 0 || width > bits::TypeBits<T>()) {
-    return Status::InvalidArgument(StringFormat(
-        "pack width %d outside [0, %d]", width, bits::TypeBits<T>()));
-  }
-  const uint64_t mask = bits::LowMask64(width);
-  for (uint64_t i = 0; i < col.size(); ++i) {
-    if ((static_cast<uint64_t>(col[i]) & ~mask) != 0) {
-      return Status::InvalidArgument(
-          StringFormat("value at row %llu does not fit in %d bits",
-                       static_cast<unsigned long long>(i), width));
-    }
-  }
-  return PackTruncating(col, width);
+  return PackChecked(col, width, /*check_fit=*/true);
 }
 
 template <typename T>

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ops/dispatch.h"
 #include "ops/elementwise.h"
 #include "ops/gather.h"
@@ -75,6 +78,109 @@ TEST_P(UnpackAgreement64, Agrees) {
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, UnpackAgreement64,
                          ::testing::Range(0, 65));
+
+/// The packed layout written out bit by bit: bit b of value i at bit
+/// i * width + b of the payload, LSB-first.
+template <typename T>
+Column<uint8_t> ReferencePack(const Column<T>& values, int width) {
+  Column<uint8_t> out(bits::PackedByteSize(values.size(), width), 0);
+  for (uint64_t i = 0; i < values.size(); ++i) {
+    for (int b = 0; b < width; ++b) {
+      if ((static_cast<uint64_t>(values[i]) >> b) & 1) {
+        const uint64_t bit = i * static_cast<uint64_t>(width) + b;
+        out[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+      }
+    }
+  }
+  return out;
+}
+
+/// Pack of fitting values and PackTruncating of full-width ones, AVX2 (when
+/// present; u64 has no pack kernel, so both legs run the scalar packer)
+/// against forced scalar, at every length 0-300 and at 65,536: identical
+/// bytes equal to the bit-by-bit layout, the truncating pack equal to
+/// packing the masked values, and a payload that unpacks to them.
+template <typename T>
+void CheckPackAgreement(int width, uint64_t seed) {
+  Rng rng(seed);
+  const uint64_t mask = bits::LowMask64(width);
+  std::vector<uint64_t> lengths;
+  for (uint64_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(65536);
+  for (const uint64_t n : lengths) {
+    Column<T> wide(n);
+    Column<T> fitting(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      wide[i] = static_cast<T>(rng.Next());
+      fitting[i] = static_cast<T>(wide[i] & mask);
+    }
+    auto [simd, scalar] = BothPaths([&] {
+      auto packed = ops::Pack(fitting, width);
+      auto truncated = ops::PackTruncating(wide, width);
+      return std::make_pair(packed.ok() ? *packed : PackedColumn{},
+                            truncated.ok() ? *truncated : PackedColumn{});
+    });
+    ASSERT_EQ(simd.first.bytes.size(), bits::PackedByteSize(n, width))
+        << "width=" << width << " n=" << n;
+    ASSERT_TRUE(simd.first == scalar.first) << "width=" << width << " n=" << n;
+    ASSERT_TRUE(simd.first.bytes == ReferencePack(fitting, width))
+        << "width=" << width << " n=" << n;
+    ASSERT_TRUE(simd.second == scalar.second)
+        << "width=" << width << " n=" << n;
+    ASSERT_TRUE(simd.first == simd.second) << "width=" << width << " n=" << n;
+    auto back = ops::Unpack<T>(simd.first);
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(*back, fitting) << "width=" << width << " n=" << n;
+  }
+}
+
+/// Pack refuses a value wider than `width` on both paths, naming the first
+/// such row.
+template <typename T>
+void CheckPackRefusesFirstMisfit(int width) {
+  for (const uint64_t n : {5u, 64u, 1000u, 65536u}) {
+    for (const uint64_t bad : {uint64_t{0}, n / 2, n - 3, n - 1}) {
+      Column<T> col(n, static_cast<T>(bits::LowMask64(width)));
+      col[bad] = static_cast<T>(bits::LowMask64(width) + 1);
+      col[n - 1] = static_cast<T>(~T{0});
+      auto [simd, scalar] = BothPaths([&] { return ops::Pack(col, width); });
+      const std::string expected =
+          "value at row " + std::to_string(bad) + " does not fit in " +
+          std::to_string(width) + " bits";
+      ASSERT_EQ(simd.status().code(), StatusCode::kInvalidArgument);
+      ASSERT_EQ(scalar.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(simd.status().message(), expected) << "n=" << n;
+      EXPECT_EQ(scalar.status().message(), expected) << "n=" << n;
+    }
+  }
+}
+
+class PackAgreement : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackAgreement, Agrees) {
+  CheckPackAgreement<uint32_t>(GetParam(), 900 + GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWidths, PackAgreement, ::testing::Range(0, 33));
+
+class PackAgreement64 : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackAgreement64, Agrees) {
+  CheckPackAgreement<uint64_t>(GetParam(), 1000 + GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWidths, PackAgreement64, ::testing::Range(0, 65));
+
+TEST(PackRefusal, NamesTheFirstRowThatDoesNotFit) {
+  for (const int width : {0, 1, 7, 20, 31}) {
+    SCOPED_TRACE(width);
+    CheckPackRefusesFirstMisfit<uint32_t>(width);
+  }
+  for (const int width : {0, 3, 33, 63}) {
+    SCOPED_TRACE(width);
+    CheckPackRefusesFirstMisfit<uint64_t>(width);
+  }
+}
 
 // The fused kernels are exercised directly against references computed in
 // the test: when the build lacks AVX2 they compile to scalar forwarders and

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "columnar/stats.h"
@@ -142,12 +144,73 @@ PatchedWidth BruteForcePatched(const std::vector<uint64_t>& values,
   return best;
 }
 
+/// Widest BitWidth(max - min) over `ell`-row segments, the last one ragged.
+template <typename T>
+int RecountSegmentSpreadBits(const Column<T>& col, uint64_t ell) {
+  int widest = 0;
+  for (uint64_t begin = 0; begin < col.size(); begin += ell) {
+    const uint64_t end = std::min<uint64_t>(begin + ell, col.size());
+    uint64_t lo = col[begin];
+    uint64_t hi = col[begin];
+    for (uint64_t i = begin; i < end; ++i) {
+      lo = std::min<uint64_t>(lo, col[i]);
+      hi = std::max<uint64_t>(hi, col[i]);
+    }
+    widest = std::max(widest, bits::BitWidth(hi - lo));
+  }
+  return widest;
+}
+
+/// Bit widths of each value minus its `ell`-row segment's minimum.
+template <typename T>
+WidthHistogram RecountSegmentResidualWidths(const Column<T>& col,
+                                            uint64_t ell) {
+  WidthHistogram histogram{};
+  for (uint64_t begin = 0; begin < col.size(); begin += ell) {
+    const uint64_t end = std::min<uint64_t>(begin + ell, col.size());
+    uint64_t lo = col[begin];
+    for (uint64_t i = begin; i < end; ++i) lo = std::min<uint64_t>(lo, col[i]);
+    for (uint64_t i = begin; i < end; ++i) {
+      ++histogram[bits::BitWidth(uint64_t{col[i]} - lo)];
+    }
+  }
+  return histogram;
+}
+
 template <typename T>
 void ExpectPassMatchesRecount(const Column<T>& col, const char* label) {
   SCOPED_TRACE(label);
   const ColumnStats s = ComputeStats(col);
   EXPECT_EQ(s.raw_width_histogram, RecountWidths(col));
   EXPECT_EQ(s.delta_width_histogram, RecountDeltaWidths(col));
+  EXPECT_EQ(s.short_segment_residual_bits,
+            RecountSegmentSpreadBits(col, ColumnStats::kShortSegment));
+  EXPECT_EQ(s.short_segment_residual_bits,
+            StepResidualWidth(col, ColumnStats::kShortSegment));
+  const WidthHistogram residuals =
+      RecountSegmentResidualWidths(col, ColumnStats::kLongSegment);
+  EXPECT_EQ(s.long_segment_residual_histogram, residuals);
+  int widest_residual = 0;
+  for (int w = 0; w <= 64; ++w) {
+    if (residuals[w] != 0) widest_residual = w;
+  }
+  EXPECT_EQ(s.long_segment_residual_bits, widest_residual);
+  uint64_t runs = 0;
+  uint64_t longest = 0;
+  for (uint64_t i = 0, run = 0; i < col.size(); ++i) {
+    run = i > 0 && col[i] == col[i - 1] ? run + 1 : 1;
+    runs += run == 1 ? 1 : 0;
+    longest = std::max(longest, run);
+  }
+  EXPECT_EQ(s.run_count, runs);
+  EXPECT_EQ(s.max_run_length, longest);
+  if (!col.empty()) {
+    EXPECT_EQ(s.min, *std::min_element(col.begin(), col.end()));
+    EXPECT_EQ(s.max, *std::max_element(col.begin(), col.end()));
+  }
+  const std::set<T> distinct(col.begin(), col.end());
+  EXPECT_EQ(s.distinct, distinct.size());
+  EXPECT_FALSE(s.distinct_capped);
   int widest_delta = 0;
   for (int w = 0; w <= 64; ++w) {
     if (s.delta_width_histogram[w] != 0) widest_delta = w;
@@ -219,6 +282,78 @@ TEST(StatsTest, OnePassMatchesRecountAtEveryWidth) {
   CheckEveryColumnShape<uint16_t>(2);
   CheckEveryColumnShape<uint32_t>(3);
   CheckEveryColumnShape<uint64_t>(4);
+}
+
+/// The exact distinct count against a std::set, capped as documented.
+template <typename T>
+void ExpectDistinctMatchesSet(const Column<T>& col, const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::set<T> reference(col.begin(), col.end());
+  const ColumnStats s = ComputeStats(col);
+  EXPECT_EQ(s.distinct,
+            std::min<uint64_t>(reference.size(), ColumnStats::kDistinctCap));
+  EXPECT_EQ(s.distinct_capped, reference.size() >= ColumnStats::kDistinctCap);
+}
+
+/// Columns for the distinct counter at one type: the extremes 0 (the flat
+/// set's empty-slot marker, counted on the side) and max, runs, narrow and
+/// wide value ranges, and the cap.
+template <typename T>
+void CheckDistinctCounter(uint64_t seed) {
+  constexpr T kMax = std::numeric_limits<T>::max();
+  const std::string type = "u" + std::to_string(bits::TypeBits<T>());
+  ExpectDistinctMatchesSet(Column<T>{}, type + " empty");
+  ExpectDistinctMatchesSet(Column<T>{0}, type + " one zero");
+  ExpectDistinctMatchesSet(Column<T>{kMax}, type + " one max");
+  ExpectDistinctMatchesSet(Column<T>{0, kMax, 0, kMax, 1}, type + " 0 and max");
+  Column<T> runs;
+  for (uint64_t r = 0; r < 40; ++r) {
+    runs.insert(runs.end(), 1 + r * 37 % 500, static_cast<T>(r * 3 % 29));
+  }
+  runs.insert(runs.end(), 1000, kMax);
+  ExpectDistinctMatchesSet(runs, type + " long runs");
+  Rng rng(seed);
+  for (const int range_bits : {1, 4, 8, 12, 16, 24, 40, 64}) {
+    if (range_bits > bits::TypeBits<T>()) continue;
+    for (const uint64_t n : {1, 2, 100, 5000, 70000}) {
+      Column<T> col(n);
+      const uint64_t base = rng.Next();
+      for (T& v : col) {
+        v = static_cast<T>(base + (rng.Next() & bits::LowMask64(range_bits)));
+      }
+      ExpectDistinctMatchesSet(col, type + " random, range bits " +
+                                        std::to_string(range_bits) +
+                                        ", n " + std::to_string(n));
+    }
+  }
+  if (bits::TypeBits<T>() < 16) return;
+  // Exactly kDistinctCap distinct values (capped) and one fewer (not),
+  // dense and spread over the type, with a repeat of every third so the
+  // count must stop at the cap, not at n.
+  const uint64_t stride =
+      bits::TypeBits<T>() == 16 ? 1 : (uint64_t{kMax} >> 16) | 1;
+  for (const uint64_t count :
+       {ColumnStats::kDistinctCap, ColumnStats::kDistinctCap - 1}) {
+    for (const uint64_t step : {uint64_t{1}, stride}) {
+      Column<T> col;
+      for (uint64_t i = 0; i < count; ++i) {
+        col.push_back(static_cast<T>(i * step));
+      }
+      for (uint64_t i = 0; i < count; i += 3) {
+        col.push_back(static_cast<T>(i * step));
+      }
+      ExpectDistinctMatchesSet(col, type + " " + std::to_string(count) +
+                                        " distinct, step " +
+                                        std::to_string(step));
+    }
+  }
+}
+
+TEST(StatsTest, DistinctCountMatchesSetAtEveryWidth) {
+  CheckDistinctCounter<uint8_t>(11);
+  CheckDistinctCounter<uint16_t>(12);
+  CheckDistinctCounter<uint32_t>(13);
+  CheckDistinctCounter<uint64_t>(14);
 }
 
 TEST(StatsTest, PatchedWidthPrefersWidestAmongTies) {

@@ -354,5 +354,73 @@ TEST(StoreConcurrencyTest, ScansRaceTableAppendsAndSeals) {
   EXPECT_EQ(table->num_rows(), kRows);
 }
 
+TEST(StoreConcurrencyTest, SnapshotsRaceInlineSealsOfTableAppends) {
+  // A zero-worker pool seals inline, inside Table::AppendBatch: a reader
+  // snapshotting in a loop meanwhile must see whole rows in every column,
+  // and every row it sees must be the appended one.
+  constexpr uint64_t kChunkRows = 1024;
+  constexpr uint64_t kRows = 10 * kChunkRows + 300;  // Rolls 10 chunks.
+  ThreadPool pool(0);
+  auto table = store::Table::Create(
+      {
+          {"k", TypeId::kUInt32, {kChunkRows}, ""},
+          {"v", TypeId::kUInt64, {kChunkRows}, ""},
+      },
+      ExecContext{&pool});
+  ASSERT_OK(table.status());
+  Column<uint32_t> k(kRows);
+  Column<uint64_t> v(kRows);
+  for (uint64_t i = 0; i < kRows; ++i) {
+    k[i] = static_cast<uint32_t>(i * 7 % 1000);
+    v[i] = (i << 20) + i % 3;
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> snapshots_taken{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto snap = table->Snapshot();
+      ASSERT_OK(snap.status());
+      const uint64_t n = snap->rows();
+      ASSERT_LE(n, kRows);
+      auto keys = DecompressChunked(snap->column(0).chunked());
+      auto values = DecompressChunked(snap->column(1).chunked());
+      ASSERT_OK(keys.status());
+      ASSERT_OK(values.status());
+      ASSERT_EQ(keys->size(), n);
+      ASSERT_EQ(values->size(), n);
+      ASSERT_TRUE(std::equal(k.begin(), k.begin() + n,
+                             keys->As<uint32_t>().begin()));
+      ASSERT_TRUE(std::equal(v.begin(), v.begin() + n,
+                             values->As<uint64_t>().begin()));
+      snapshots_taken.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  Rng rng(19);
+  uint64_t at = 0;
+  while (at < kRows) {
+    const uint64_t take = std::min<uint64_t>(1 + rng.Below(700), kRows - at);
+    ASSERT_OK(table->AppendBatch(
+        {AnyColumn(Column<uint32_t>(k.begin() + at, k.begin() + at + take)),
+         AnyColumn(Column<uint64_t>(v.begin() + at, v.begin() + at + take))}));
+    at += take;
+  }
+  for (int spin = 0; spin < 10000 && snapshots_taken.load() == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_GT(snapshots_taken.load(), 0u);
+
+  // The inline seals all landed before their AppendBatch returned.
+  for (const char* name : {"k", "v"}) {
+    auto column = table->column(name);
+    ASSERT_OK(column.status());
+    EXPECT_EQ((*column)->num_chunks(), kRows / kChunkRows);
+    EXPECT_EQ((*column)->sealed_chunks(), kRows / kChunkRows);
+  }
+}
+
 }  // namespace
 }  // namespace recomp
