@@ -114,8 +114,8 @@ OracleResult DecompressThenScan(const store::TableSnapshot& snap,
   const Column<uint32_t>& q = qty.As<uint32_t>();
   OracleResult out;
   for (uint64_t i = 0; i < d.size(); ++i) {
-    if (d[i] >= date_pred.lo && d[i] <= date_pred.hi && a[i] >= amount_pred.lo &&
-        a[i] <= amount_pred.hi) {
+    if (d[i] >= date_pred.lo && d[i] <= date_pred.hi &&
+        a[i] >= amount_pred.lo && a[i] <= amount_pred.hi) {
       ++out.matches;
       out.qty_sum += q[i];
     }

@@ -63,7 +63,8 @@ uint64_t ReferenceSum() {
 }
 
 /// An AppendableColumn holding SharedRows() pinned to plain NS, flushed.
-std::unique_ptr<store::AppendableColumn> PinnedNsColumn(const ExecContext& ctx) {
+std::unique_ptr<store::AppendableColumn> PinnedNsColumn(
+    const ExecContext& ctx) {
   store::IngestOptions options;
   options.chunk_rows = kChunkRows;
   options.descriptor = Ns();
@@ -120,7 +121,8 @@ void PrintPinnedMigrationTable() {
   std::printf("%-28s %14llu %14llu %8.1f%%\n", "payload bytes",
               static_cast<unsigned long long>(bytes_before),
               static_cast<unsigned long long>(after.chunked().PayloadBytes()),
-              100.0 * (1.0 - static_cast<double>(after.chunked().PayloadBytes()) /
+              100.0 * (1.0 - static_cast<double>(
+                                 after.chunked().PayloadBytes()) /
                                  static_cast<double>(bytes_before)));
   std::printf("%-28s %14.4f %14.4f %8.1fx\n", "sum scan seconds", scan_before,
               scan_after, scan_before / scan_after);

@@ -447,7 +447,8 @@ void PrintTables() {
     std::exit(1);
   }
 
-  bench::Section("E18: result cache, 90%-duplicate burst (64 queries / 6 specs)");
+  bench::Section(
+      "E18: result cache, 90%-duplicate burst (64 queries / 6 specs)");
   const RepeatedResult repeated = RunRepeated();
   std::printf("%-10s %10s %10s %8s %9s\n", "mix", "off_ms", "warm_ms",
               "speedup", "hit_ratio");
@@ -464,7 +465,8 @@ void PrintTables() {
     std::exit(1);
   }
 
-  bench::Section("E18: predicate subsumption, nested bands (8 families x 8 gens)");
+  bench::Section(
+      "E18: predicate subsumption, nested bands (8 families x 8 gens)");
   const NestedResult nested = RunNested();
   std::printf("%-10s %12s %12s %12s\n", "mix", "share_off", "share_on",
               "subsumed");

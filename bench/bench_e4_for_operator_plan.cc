@@ -39,7 +39,8 @@ void PrintTables() {
               static_cast<unsigned long long>(plan.OperatorCount()));
 
   Plan optimized = ValueOrDie(OptimizePlan(plan), "optimize");
-  bench::Section("E4: after fusion (id generation + divide + gather -> Replicate)");
+  bench::Section(
+      "E4: after fusion (id generation + divide + gather -> Replicate)");
   std::printf("%s", optimized.ToString().c_str());
 
   auto a = ValueOrDie(ExecutePlan(plan, compressed), "naive");

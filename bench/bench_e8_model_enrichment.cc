@@ -47,7 +47,8 @@ void PrintTables() {
   Column<uint32_t> col(kRows);
   for (uint64_t i = 0; i < kRows; ++i) {
     const double x = static_cast<double>(i);
-    col[i] = static_cast<uint32_t>(1e6 + 3.0 * x + 2e4 * (x / kRows) * (x / kRows) * 4);
+    col[i] = static_cast<uint32_t>(1e6 + 3.0 * x +
+                                   2e4 * (x / kRows) * (x / kRows) * 4);
   }
   for (const auto& [name, desc] :
        std::vector<std::pair<const char*, SchemeDescriptor>>{

@@ -41,7 +41,8 @@ int main() {
 
   // Chunk-at-a-time compression with per-chunk scheme selection; the
   // analyzer search runs per chunk, in parallel.
-  auto compressed = CompressChunkedAuto(AnyColumn(column), {64 * 1024}, {}, ctx);
+  auto compressed =
+      CompressChunkedAuto(AnyColumn(column), {64 * 1024}, {}, ctx);
   if (!compressed.ok()) return 1;
   std::printf("per-chunk analyzer choices (%.1fx overall):\n",
               compressed->Ratio());

@@ -33,9 +33,11 @@ int main() {
   std::printf("SELECT ... WHERE %u <= v <= %u\n",
               static_cast<unsigned>(predicate.lo),
               static_cast<unsigned>(predicate.hi));
-  std::printf("  strategy:          %s\n", exec::StrategyName(selection->stats.strategy));
+  std::printf("  strategy:          %s\n",
+              exec::StrategyName(selection->stats.strategy));
   std::printf("  segments skipped:  %llu / %llu\n",
-              static_cast<unsigned long long>(selection->stats.segments_skipped),
+              static_cast<unsigned long long>(
+                  selection->stats.segments_skipped),
               static_cast<unsigned long long>(selection->stats.segments_total));
   std::printf("  residuals decoded: %llu of %zu values (%.2f%%)\n",
               static_cast<unsigned long long>(selection->stats.values_decoded),

@@ -2,9 +2,9 @@
 //
 // A QueryService sits in front of a live table. Clients register, submit
 // ScanSpecs, and get futures back; queries landing inside one batching
-// window execute as a single chunk-parallel pass — each surviving chunk is
-// fused-decoded once, every query's predicate evaluates against the shared
-// decoded buffer, and selection vectors for repeated predicates are
+// window execute as one batch — each chunk two or more of them need is
+// fused-decoded once, every such query's predicate evaluates against the
+// shared decoded buffer, and selection vectors for repeated predicates are
 // recycled outright. Identical specs go further still: within a window
 // only the first executes (the rest deduplicate onto it), and across
 // windows the result cache answers a repeated spec at the same data
@@ -33,9 +33,10 @@ int main() {
   const ExecContext ctx{&pool, 1};
 
   // Orders: uniform keys and amounts, sealed so every chunk is compressed.
-  auto table = store::Table::Create({{"key", TypeId::kUInt32, {64 * 1024}, ""},
-                                     {"amount", TypeId::kUInt32, {64 * 1024}, ""}},
-                                    ctx);
+  auto table = store::Table::Create(
+      {{"key", TypeId::kUInt32, {64 * 1024}, ""},
+       {"amount", TypeId::kUInt32, {64 * 1024}, ""}},
+      ctx);
   if (!table.ok()) return 1;
   constexpr uint64_t kRows = 512 * 1024;
   constexpr uint64_t kBound = 1u << 20;

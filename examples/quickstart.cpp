@@ -32,7 +32,8 @@ int main() {
   }
 
   std::printf("compressed structure:\n%s\n", compressed->ToString().c_str());
-  std::printf("uncompressed: %llu bytes, compressed: %llu bytes, ratio %.1fx\n\n",
+  std::printf(
+      "uncompressed: %llu bytes, compressed: %llu bytes, ratio %.1fx\n\n",
               static_cast<unsigned long long>(compressed->UncompressedBytes()),
               static_cast<unsigned long long>(compressed->PayloadBytes()),
               compressed->Ratio());

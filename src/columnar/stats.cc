@@ -59,7 +59,8 @@ int WidestBucket(const WidthHistogram& histogram) {
 
 template <typename T>
 ColumnStats ComputeStats(const Column<T>& col) {
-  static_assert(std::is_unsigned_v<T>, "stats are computed on unsigned columns");
+  static_assert(std::is_unsigned_v<T>,
+                "stats are computed on unsigned columns");
   constexpr uint64_t kShort = ColumnStats::kShortSegment;
   constexpr uint64_t kLong = ColumnStats::kLongSegment;
   static_assert(kLong % kShort == 0);

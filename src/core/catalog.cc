@@ -17,8 +17,9 @@ SchemeDescriptor MakeRleDelta() {
   return Rpe()
       .With("positions", Delta().With("deltas", Ns()))
       .With("values",
-            Delta().With("deltas", ZigZag().With("recoded",
-                                                 Patched().With("base", Ns()))));
+            Delta().With("deltas",
+                         ZigZag().With("recoded",
+                                       Patched().With("base", Ns()))));
 }
 
 SchemeDescriptor MakeFor(uint64_t segment_length, int width) {

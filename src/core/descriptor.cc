@@ -98,7 +98,8 @@ Status SchemeDescriptor::Validate() const {
     if (args.size() != 1) {
       return Status::InvalidArgument("MODELED requires exactly one model arg");
     }
-    if (args[0].kind != SchemeKind::kStep && args[0].kind != SchemeKind::kPlin) {
+    if (args[0].kind != SchemeKind::kStep &&
+        args[0].kind != SchemeKind::kPlin) {
       return Status::InvalidArgument(
           "MODELED model must be STEP or PLIN, got " +
           std::string(SchemeKindName(args[0].kind)));

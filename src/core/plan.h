@@ -39,7 +39,7 @@ enum class PlanOpKind : int {
   kUnpack,                ///< NS decode: packed column -> plain column.
   kZigZagDecode,          ///< ZIGZAG decode to type_param.
   kVByteDecode,           ///< VBYTE decode: u8 stream -> imm2 values.
-  kEvalPlin,              ///< Piecewise-linear model evaluation (bases, slopes).
+  kEvalPlin,              ///< Piecewise-linear model eval (bases, slopes).
   // -- optimizer fusion targets --
   kElementwiseScalar,     ///< Elementwise with an immediate operand.
   kIota,                  ///< 0.. or 1.. sequence (fused Constant+PrefixSum).

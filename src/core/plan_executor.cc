@@ -79,7 +79,8 @@ Result<AnyColumn> EvalIota(const PlanNode& node, uint64_t length) {
   });
 }
 
-Result<AnyColumn> EvalGather(const AnyColumn& values, const AnyColumn& indices) {
+Result<AnyColumn> EvalGather(const AnyColumn& values,
+                             const AnyColumn& indices) {
   if (indices.is_packed() || indices.type() != TypeId::kUInt32) {
     return Status::InvalidArgument("Gather indices must be a uint32 column");
   }

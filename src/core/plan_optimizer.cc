@@ -61,7 +61,8 @@ bool RewriteOnce(Plan* plan) {
       uint64_t zero = 0;
       if (IsConstant(*plan, node.inputs[0], &value) &&
           IsConstant(*plan, node.inputs[2], &zero) && zero == 0) {
-        const PlanNode& zeros = plan->nodes[static_cast<size_t>(node.inputs[2])];
+        const PlanNode& zeros =
+            plan->nodes[static_cast<size_t>(node.inputs[2])];
         if (zeros.inputs.empty()) {  // Length known via imm2.
           node.op = PlanOpKind::kScatterConst;
           node.imm = value;

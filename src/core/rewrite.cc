@@ -9,7 +9,8 @@ namespace recomp {
 namespace {
 
 /// Walks `path` and returns the named CompressedPart (mutable).
-Result<CompressedPart*> FindPart(CompressedNode* node, const std::string& path) {
+Result<CompressedPart*> FindPart(CompressedNode* node,
+                                 const std::string& path) {
   CompressedNode* current = node;
   size_t begin = 0;
   while (true) {

@@ -33,12 +33,13 @@
 // payload is parsed: chunks must tile [0, total_rows) contiguously in order
 // (no overlaps, no gaps), an empty directory cannot claim rows, and the
 // node_bytes lengths must fit inside the buffer — so a parallel reader can
-// trust directory offsets without re-deriving them. DeserializeChunked accepts both versions, wrapping a v1
-// buffer as a single chunk. Like the raw part payloads, zone-map min/max
-// are trusted metadata: the format carries no checksums, so undetectably
-// flipped *content* bytes (v1 column data, v2 zone bounds) produce wrong
-// query results rather than Corruption — store buffers with integrity
-// protection if the medium can corrupt them.
+// trust directory offsets without re-deriving them. DeserializeChunked
+// accepts both versions, wrapping a v1 buffer as a single chunk. Like the
+// raw part payloads, zone-map min/max are trusted metadata: the format
+// carries no checksums, so undetectably flipped *content* bytes (v1 column
+// data, v2 zone bounds) produce wrong query results rather than Corruption
+// — store buffers with integrity protection if the medium can corrupt
+// them.
 
 #ifndef RECOMP_CORE_SERIALIZE_H_
 #define RECOMP_CORE_SERIALIZE_H_

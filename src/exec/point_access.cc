@@ -133,6 +133,14 @@ Result<PointResult> GetAt(const ChunkedCompressedColumn& chunked, uint64_t row,
   return GetAt(chunk.column, row - chunk.zone.row_begin);
 }
 
+Status GetAtChunk(const CompressedChunk& chunk, const uint64_t* rows,
+                  uint64_t count, PointResult* out) {
+  const uint64_t base = chunk.zone.row_begin;
+  return ReadRows(
+      chunk.column.root(), count, [&](uint64_t k) { return rows[k] - base; },
+      [&](uint64_t k) -> PointResult& { return out[k]; });
+}
+
 Result<std::vector<PointResult>> GetAtBatch(
     const ChunkedCompressedColumn& chunked, const std::vector<uint64_t>& rows,
     const ExecContext& ctx, uint64_t* chunks_touched) {

@@ -48,12 +48,18 @@ Result<PointResult> GetAt(const ChunkedCompressedColumn& chunked, uint64_t row,
 /// rows land in it, in whatever order, duplicates included. Results land in
 /// input order and agree row-for-row (value and strategy) with per-row
 /// GetAt; rows past the end are rejected up front, first in input order.
-/// This is the gather engine behind exec::Scan's late materialization.
 /// When `chunks_touched` is non-null it receives the number of distinct
 /// chunks the batch landed in (the grouping is computed anyway).
 Result<std::vector<PointResult>> GetAtBatch(
     const ChunkedCompressedColumn& chunked, const std::vector<uint64_t>& rows,
     const ExecContext& ctx = {}, uint64_t* chunks_touched = nullptr);
+
+/// The per-chunk step of batch point access: answers the `count` global
+/// rows rows[0, count), all inside `chunk`, into out[0, count) through the
+/// chunk's direct access path, or with one decompress serving all of them.
+/// exec::Scan gathers every chunk it does not share this way.
+Status GetAtChunk(const CompressedChunk& chunk, const uint64_t* rows,
+                  uint64_t count, PointResult* out);
 
 }  // namespace recomp::exec
 

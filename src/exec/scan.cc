@@ -1,14 +1,21 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <type_traits>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
+#include "core/fused.h"
 #include "exec/point_access.h"
+#include "exec/scan_batch.h"
 #include "obs/metrics.h"
+#include "obs/service_metrics.h"
 #include "obs/trace.h"
 #include "schemes/scheme_internal.h"
 #include "store/table.h"
@@ -53,6 +60,15 @@ using internal::DispatchUnsignedTypeId;
 
 /// Resolves spec column names to indices into the bound column list.
 using Lookup = std::function<Result<uint64_t>(const std::string&)>;
+
+/// The columns a batch scans, each `rows` long, cut at table version
+/// `version` (which keys the retained caches).
+struct Bound {
+  std::vector<const ChunkedCompressedColumn*> columns;
+  Lookup lookup;
+  uint64_t rows = 0;
+  uint64_t version = 0;
+};
 
 struct ResolvedFilter {
   uint64_t column = 0;
@@ -206,43 +222,6 @@ Result<ChunkedAggregateResult> AggregateWholeColumn(
   return result;
 }
 
-/// The default per-chunk execution: the same pushdown strategies the
-/// per-operator free functions run. SelectChunk dispatches the chunk's
-/// compressed payload; GatherRows is chunk-grouped batch point access — one
-/// decompress per touched chunk.
-class DefaultChunkPipeline final : public ChunkPipeline {
- public:
-  explicit DefaultChunkPipeline(
-      const std::vector<const ChunkedCompressedColumn*>& columns)
-      : columns_(columns) {}
-
-  Result<std::shared_ptr<const SelectionResult>> SelectChunk(
-      uint64_t column, uint64_t chunk,
-      const RangePredicate& predicate) override {
-    RECOMP_ASSIGN_OR_RETURN(
-        SelectionResult selection,
-        SelectCompressed(columns_[column]->chunk(chunk).column, predicate));
-    return std::make_shared<const SelectionResult>(std::move(selection));
-  }
-
-  Result<GatherResult> GatherRows(uint64_t column,
-                                  const std::vector<uint64_t>& rows,
-                                  const ExecContext& ctx) override {
-    GatherResult gather;
-    RECOMP_ASSIGN_OR_RETURN(
-        gather.points,
-        GetAtBatch(*columns_[column], rows, ctx, &gather.stats.chunks_touched));
-    gather.stats.rows = rows.size();
-    for (const PointResult& point : gather.points) {
-      ++gather.stats.strategy_rows[static_cast<int>(point.strategy)];
-    }
-    return gather;
-  }
-
- private:
-  const std::vector<const ChunkedCompressedColumn*>& columns_;
-};
-
 /// Prefixes an error with "<role> column '<name>': " so a multi-column spec
 /// reports *which* reference failed and in what role. Empty names — the
 /// single-column API — pass through untouched, keeping the per-operator
@@ -254,169 +233,494 @@ Status NameColumnError(const char* role, const std::string& name,
                                    "': " + status.message());
 }
 
-/// The scan driver over an already-bound column list. `rows` is the shared
-/// row count (every bound column has exactly this many rows). Per-chunk
-/// filtering and materialization route through `pipeline`.
-Result<ScanResult> ScanColumns(
-    const std::vector<const ChunkedCompressedColumn*>& columns,
-    const Lookup& lookup, uint64_t rows, const ScanSpec& spec,
-    const ExecContext& ctx, ChunkPipeline& pipeline) {
+/// One query's plan, from names and zone maps alone: no payload is touched.
+struct Plan {
+  std::vector<ResolvedFilter> filters;
+  std::vector<uint64_t> projections;
+  std::vector<std::pair<uint64_t, AggregateOp>> aggregates;
+  /// Range r is rows [bounds[r], bounds[r + 1]).
+  std::vector<uint64_t> bounds;
+  /// owner[f][r]: the chunk of filter f's column owning range r.
+  std::vector<std::vector<uint64_t>> owner;
+  /// dead[r]: some filter's zone map prunes range r.
+  std::vector<char> dead;
+  /// chunk_action[f][c]: what filter f's zone map decided for chunk c.
+  std::vector<std::vector<ChunkAction>> chunk_action;
+  /// The kExecute (filter, chunk) pairs; slot_of[f][c] indexes them.
+  std::vector<std::pair<size_t, uint64_t>> exec_pairs;
+  std::vector<std::vector<size_t>> slot_of;
+  /// Rows projections and aggregates see at most; a filterless aggregate
+  /// over all of them pushes down per chunk instead of gathering.
+  uint64_t take = 0;
+  bool pushdown_aggregates = false;
+  /// The columns gathered at the selected rows (a column may repeat).
+  std::vector<uint64_t> gathered;
+
+  uint64_t num_ranges() const {
+    return bounds.size() < 2 ? 0 : bounds.size() - 1;
+  }
+};
+
+/// Resolves `spec` against `bound`, then plans its filters from the zone
+/// maps alone.
+Result<Plan> PlanScan(const Bound& bound, const ScanSpec& spec) {
   if (spec.filters().empty() && spec.projections().empty() &&
       spec.aggregates().empty()) {
     return Status::InvalidArgument(
         "empty scan spec: add a filter, projection, or aggregate");
   }
+  const std::vector<const ChunkedCompressedColumn*>& columns = bound.columns;
+  Plan plan;
 
   // Resolve every referenced column up front, naming the role and column in
   // every error so a failing multi-column spec says which reference broke;
   // for the empty-name single-column API the messages stay exactly what the
   // per-operator free functions historically reported.
-  std::vector<ResolvedFilter> filters;
-  for (const ScanSpec::FilterSpec& f : spec.filters()) {
-    Result<uint64_t> resolved = lookup(f.column);
-    if (!resolved.ok()) {
-      return NameColumnError("filter", f.column, resolved.status());
-    }
-    const uint64_t idx = *resolved;
-    if (!TypeIdIsUnsigned(columns[idx]->type())) {
+  const auto resolve = [&](const char* role, const std::string& name,
+                           const char* operation) -> Result<uint64_t> {
+    Result<uint64_t> resolved = bound.lookup(name);
+    if (!resolved.ok()) return NameColumnError(role, name, resolved.status());
+    if (!TypeIdIsUnsigned(columns[*resolved]->type())) {
       return NameColumnError(
-          "filter", f.column,
-          Status::InvalidArgument("range selection over compressed data "
-                                  "requires an unsigned column"));
+          role, name,
+          Status::InvalidArgument(std::string(operation) +
+                                  " requires an unsigned column"));
     }
+    return resolved;
+  };
+  std::vector<ResolvedFilter>& filters = plan.filters;
+  for (const ScanSpec::FilterSpec& f : spec.filters()) {
+    RECOMP_ASSIGN_OR_RETURN(
+        const uint64_t idx,
+        resolve("filter", f.column, "range selection over compressed data"));
     filters.push_back({idx, f.predicate});
   }
-  std::vector<uint64_t> projections;
   for (const std::string& name : spec.projections()) {
-    Result<uint64_t> resolved = lookup(name);
-    if (!resolved.ok()) {
-      return NameColumnError("projection", name, resolved.status());
-    }
-    const uint64_t idx = *resolved;
-    if (!TypeIdIsUnsigned(columns[idx]->type())) {
-      return NameColumnError(
-          "projection", name,
-          Status::InvalidArgument("point access requires an unsigned column"));
-    }
-    projections.push_back(idx);
+    RECOMP_ASSIGN_OR_RETURN(const uint64_t idx,
+                            resolve("projection", name, "point access"));
+    plan.projections.push_back(idx);
   }
-  std::vector<std::pair<uint64_t, AggregateOp>> aggregates;
   for (const ScanSpec::AggregateSpec& a : spec.aggregates()) {
-    Result<uint64_t> resolved = lookup(a.column);
-    if (!resolved.ok()) {
-      return NameColumnError("aggregate", a.column, resolved.status());
-    }
-    const uint64_t idx = *resolved;
-    if (!TypeIdIsUnsigned(columns[idx]->type())) {
-      return NameColumnError(
-          "aggregate", a.column,
-          Status::InvalidArgument(
-              "compressed aggregation requires an unsigned column"));
-    }
-    aggregates.push_back({idx, a.op});
+    RECOMP_ASSIGN_OR_RETURN(
+        const uint64_t idx,
+        resolve("aggregate", a.column, "compressed aggregation"));
+    plan.aggregates.push_back({idx, a.op});
   }
-  if ((!filters.empty() || !projections.empty()) &&
-      rows >= (uint64_t{1} << 32)) {
+  if ((!filters.empty() || !plan.projections.empty()) &&
+      bound.rows >= (uint64_t{1} << 32)) {
     return Status::OutOfRange("selections support columns below 2^32 rows");
   }
 
+  plan.take = std::min(spec.limit(), bound.rows);
+  plan.pushdown_aggregates = filters.empty() && plan.take == bound.rows;
+  plan.gathered = plan.projections;
+  for (const auto& [column, op] : plan.aggregates) {
+    if (!plan.pushdown_aggregates && op != AggregateOp::kCount) {
+      plan.gathered.push_back(column);
+    }
+  }
+  if (filters.empty()) return plan;
+
+  // Row-range partition: the finest refinement of every filter column's
+  // chunk boundaries. Each range lies inside exactly one chunk of every
+  // filter column, so a chunk zone map speaks for the whole range; with
+  // one filter (or boundary-aligned columns) ranges are exactly the
+  // nonempty chunks, which keeps the wrappers bit-identical to the
+  // historical per-operator loops.
+  std::vector<uint64_t>& bounds = plan.bounds;
+  bounds.push_back(0);
+  bounds.push_back(bound.rows);
+  for (const ResolvedFilter& f : filters) {
+    for (const auto& chunk : columns[f.column]->chunks()) {
+      bounds.push_back(chunk->zone.row_begin);
+    }
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  const uint64_t num_ranges = plan.num_ranges();
+
+  // For each filter, the chunk of its column owning each range.
+  std::vector<std::vector<uint64_t>>& owner = plan.owner;
+  owner.assign(filters.size(), std::vector<uint64_t>(num_ranges, 0));
+  for (size_t f = 0; f < filters.size(); ++f) {
+    const auto& chunks = columns[filters[f].column]->chunks();
+    uint64_t ci = 0;
+    for (uint64_t r = 0; r < num_ranges; ++r) {
+      while (ci + 1 < chunks.size() &&
+             chunks[ci]->zone.row_begin + chunks[ci]->zone.row_count <=
+                 bounds[r]) {
+        ++ci;
+      }
+      owner[f][r] = ci;
+    }
+  }
+
+  // A range is dead when any filter's owning chunk is disjoint from its
+  // predicate — zone-map pruning intersected across all filter columns, so
+  // a chunk any predicate prunes is never touched for *any* column. From
+  // the live ranges, classify each filter's chunks: a (filter, chunk) pair
+  // needs its payload only when the chunk overlaps the predicate without
+  // being contained AND owns at least one live range — and each needed
+  // pair executes exactly once, no matter how many ranges the chunk spans
+  // under misaligned boundaries.
+  std::vector<char>& dead = plan.dead;
+  dead.assign(num_ranges, 0);
+  for (uint64_t r = 0; r < num_ranges; ++r) {
+    for (size_t f = 0; f < filters.size(); ++f) {
+      const ZoneMap& zone =
+          columns[filters[f].column]->chunk(owner[f][r]).zone;
+      if (zone.DisjointFrom(filters[f].predicate.lo,
+                            filters[f].predicate.hi)) {
+        dead[r] = 1;
+        break;
+      }
+    }
+  }
+  plan.chunk_action.resize(filters.size());
+  plan.slot_of.resize(filters.size());
+  for (size_t f = 0; f < filters.size(); ++f) {
+    const ChunkedCompressedColumn& column = *columns[filters[f].column];
+    std::vector<ChunkAction>& action = plan.chunk_action[f];
+    action.assign(column.num_chunks(), ChunkAction::kNotReached);
+    plan.slot_of[f].assign(column.num_chunks(), ~size_t{0});
+    for (uint64_t r = 0; r < num_ranges; ++r) {
+      const uint64_t c = owner[f][r];
+      const ZoneMap& zone = column.chunk(c).zone;
+      if (zone.DisjointFrom(filters[f].predicate.lo,
+                            filters[f].predicate.hi)) {
+        action[c] = ChunkAction::kPruned;
+      } else if (!dead[r] && action[c] == ChunkAction::kNotReached) {
+        action[c] = zone.ContainedIn(filters[f].predicate.lo,
+                                     filters[f].predicate.hi)
+                        ? ChunkAction::kFull
+                        : ChunkAction::kExecute;
+      }
+    }
+    for (uint64_t c = 0; c < column.num_chunks(); ++c) {
+      if (action[c] == ChunkAction::kExecute) {
+        plan.slot_of[f][c] = plan.exec_pairs.size();
+        plan.exec_pairs.push_back({f, c});
+      }
+    }
+  }
+  return plan;
+}
+
+/// Chunk `chunk` of column `column` as one key: columns are few and chunk
+/// indices fit 32 bits (rows < 2^32).
+uint64_t ChunkKey(uint64_t column, uint64_t chunk) {
+  return (column << 32) | chunk;
+}
+
+/// The chunks `plan` reads, as sorted, distinct ChunkKeys: its filter
+/// chunks the zone maps could neither prune nor contain, and every chunk of
+/// a gathered column over a live row range.
+std::vector<uint64_t> ChunksRead(const Bound& bound, const Plan& plan) {
+  std::vector<uint64_t> keys;
+  for (const auto& [f, c] : plan.exec_pairs) {
+    keys.push_back(ChunkKey(plan.filters[f].column, c));
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> live;  // Merged [begin, end).
+  if (plan.filters.empty() && plan.take > 0) live.push_back({0, plan.take});
+  for (uint64_t r = 0; r < plan.num_ranges(); ++r) {
+    if (plan.dead[r]) continue;
+    if (!live.empty() && live.back().second == plan.bounds[r]) {
+      live.back().second = plan.bounds[r + 1];
+    } else {
+      live.push_back({plan.bounds[r], plan.bounds[r + 1]});
+    }
+  }
+  for (const uint64_t column : plan.gathered) {
+    const ChunkedCompressedColumn& chunked = *bound.columns[column];
+    for (const auto& [begin, end] : live) {
+      const uint64_t last = chunked.ChunkIndexOf(end - 1);
+      for (uint64_t c = chunked.ChunkIndexOf(begin); c <= last; ++c) {
+        keys.push_back(ChunkKey(column, c));
+      }
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  return keys;
+}
+
+/// Keeps the entries of `values` inside `pred`, with each kept entry's
+/// chunk row: rows[i] for entry i, or i itself when `rows` is null.
+CachedSelection FilterSelection(const AnyColumn& values,
+                                const Column<uint32_t>* rows,
+                                const RangePredicate& pred) {
+  CachedSelection out;
+  out.selection.stats.strategy = Strategy::kDecompressScan;
+  Column<uint32_t>& positions = out.selection.positions;
+  values.VisitPlain([&](const auto& col) {
+    using T = typename std::decay_t<decltype(col)>::value_type;
+    Column<T> kept;
+    ForEachMatch(col, pred, [&](uint64_t i, uint64_t v) {
+      positions.push_back(rows != nullptr ? (*rows)[i]
+                                          : static_cast<uint32_t>(i));
+      kept.push_back(static_cast<T>(v));
+    });
+    out.values = AnyColumn(std::move(kept));
+  });
+  return out;
+}
+
+/// What the queries of one batch share: the chunks two or more of them
+/// read, and for those the decoded buffers, the selections and the
+/// containment lattice over the batch's filter bands. Pool workers running
+/// different queries call in at once: the counters are atomics, and the
+/// rest is read-only after construction.
+class SharedChunks {
+ public:
+  /// `selections` and `chunks` are the caller's retained caches, or null for
+  /// batch-local ones; only a retained selection cache counts hits.
+  SharedChunks(const Bound& bound, const std::vector<Result<Plan>>& plans,
+               SelectionVectorCache* selections, DecodedChunkCache* chunks,
+               bool subsume)
+      : bound_(bound),
+        selections_(selections),
+        count_hits_(selections != nullptr),
+        chunks_(chunks) {
+    if (plans.size() < 2) return;  // A lone query shares nothing.
+    std::unordered_map<uint64_t, uint32_t> uses;
+    for (const Result<Plan>& plan : plans) {
+      if (!plan.ok()) continue;
+      for (const uint64_t key : ChunksRead(bound, *plan)) {
+        if (++uses[key] == 2) shared_.insert(key);
+      }
+    }
+    if (shared_.empty()) return;
+    if (selections_ == nullptr) selections_ = &local_selections_.emplace(0);
+    if (chunks_ == nullptr) chunks_ = &local_chunks_.emplace(0);
+    if (subsume) BuildLattice(plans);
+  }
+
+  bool Shared(uint64_t column, uint64_t chunk) const {
+    return !shared_.empty() && shared_.count(ChunkKey(column, chunk)) != 0;
+  }
+
+  /// A shared filter chunk's selection, computed once per batch.
+  Result<std::shared_ptr<const SelectionResult>> Select(
+      uint64_t column, uint64_t chunk, const RangePredicate& pred) {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    RECOMP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedSelection> entry,
+                            EvalBand(column, chunk, pred));
+    // Aliases the cache entry: the selection lives as long as the entry.
+    const SelectionResult* selection = &entry->selection;
+    return std::shared_ptr<const SelectionResult>(std::move(entry),
+                                                  selection);
+  }
+
+  /// A shared chunk's values, decoded once per version while the decoded
+  /// chunk cache holds them, however many queries race for them.
+  Result<std::shared_ptr<const AnyColumn>> Decoded(uint64_t column,
+                                                   uint64_t chunk) {
+    return chunks_->GetOrCompute(bound_.version, ChunkKey(column, chunk), [&] {
+      decodes_.fetch_add(1, std::memory_order_relaxed);
+      obs::ServiceMetrics::Get().chunks_decoded->Increment();
+      return FusedDecompress(bound_.columns[column]->chunk(chunk).column);
+    });
+  }
+
+  /// The batch's accounting, folded into the service.* registry metrics.
+  BatchStats Fold() const {
+    const BatchStats batch{.chunks_decoded = decodes_,
+                           .chunk_evaluations = evaluations_,
+                           .selection_cache_hits = hits_,
+                           .subsumed_evaluations = subsumed_,
+                           .subsumption_values_examined = values_examined_};
+    if (!shared_.empty()) {
+      const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
+      metrics.chunk_evaluations->Add(batch.chunk_evaluations);
+      metrics.subsumed_evaluations->Add(batch.subsumed_evaluations);
+      metrics.subsumption_values_examined->Add(
+          batch.subsumption_values_examined);
+    }
+    return batch;
+  }
+
+ private:
+  /// Maps every band of the batch to its *narrowest strict container* on
+  /// the same column (absent = a maximal band that must scan). Narrowest
+  /// wins because a tighter parent leaves fewer pairs to re-filter; chains
+  /// resolve recursively, so the widest band of a nest scans once and each
+  /// tier below it filters its parent's survivors.
+  void BuildLattice(const std::vector<Result<Plan>>& plans) {
+    std::unordered_map<uint64_t, std::vector<RangePredicate>> bands;
+    for (const Result<Plan>& plan : plans) {
+      if (!plan.ok()) continue;
+      for (const ResolvedFilter& filter : plan->filters) {
+        std::vector<RangePredicate>& column_bands = bands[filter.column];
+        if (std::find(column_bands.begin(), column_bands.end(),
+                      filter.predicate) == column_bands.end()) {
+          column_bands.push_back(filter.predicate);
+        }
+      }
+    }
+    for (const auto& [column, column_bands] : bands) {
+      for (const RangePredicate& band : column_bands) {
+        const RangePredicate* best = nullptr;
+        for (const RangePredicate& candidate : column_bands) {
+          if (!candidate.StrictlyContains(band)) continue;
+          if (best == nullptr ||
+              candidate.hi - candidate.lo < best->hi - best->lo ||
+              (candidate.hi - candidate.lo == best->hi - best->lo &&
+               candidate.lo < best->lo)) {
+            best = &candidate;
+          }
+        }
+        if (best != nullptr) {
+          parents_.emplace(SelectionKey{column, 0, band.lo, band.hi}, *best);
+        }
+      }
+    }
+  }
+
+  /// One band's selection over one shared chunk, computed once per batch
+  /// and kept across batches while the selection cache holds it: by
+  /// re-filtering its narrowest containing band's selection (itself found
+  /// the same way) when the lattice offers one, else by scanning the shared
+  /// decoded buffer. Entries carry the matched values so callers one tier
+  /// down can do the same.
+  Result<std::shared_ptr<const CachedSelection>> EvalBand(
+      uint64_t column, uint64_t chunk, const RangePredicate& pred) {
+    const SelectionKey key{column, chunk, pred.lo, pred.hi};
+    const auto compute = [&] { return ComputeBand(column, chunk, pred); };
+    bool reused = false;
+    Result<std::shared_ptr<const CachedSelection>> entry =
+        selections_->GetOrCompute(bound_.version, key, compute, &reused);
+    if (count_hits_) {
+      const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
+      if (reused) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        metrics.selection_cache_hits->Increment();
+      } else {
+        metrics.selection_cache_misses->Increment();
+      }
+    }
+    return entry;
+  }
+
+  Result<CachedSelection> ComputeBand(uint64_t column, uint64_t chunk,
+                                      const RangePredicate& pred) {
+    // Strict containment is acyclic, so the nested lookup never waits on a
+    // computation that waits on this one.
+    const auto parent =
+        parents_.find(SelectionKey{column, 0, pred.lo, pred.hi});
+    if (parent != parents_.end()) {
+      RECOMP_ASSIGN_OR_RETURN(
+          const std::shared_ptr<const CachedSelection> base,
+          EvalBand(column, chunk, parent->second));
+      subsumed_.fetch_add(1, std::memory_order_relaxed);
+      values_examined_.fetch_add(base->values.size(),
+                                 std::memory_order_relaxed);
+      return FilterSelection(base->values, &base->selection.positions, pred);
+    }
+    RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
+                            Decoded(column, chunk));
+    CachedSelection entry = FilterSelection(*values, nullptr, pred);
+    entry.selection.stats.values_decoded = values->size();
+    return entry;
+  }
+
+  const Bound& bound_;
+  SelectionVectorCache* selections_;
+  const bool count_hits_;
+  DecodedChunkCache* chunks_;
+  std::optional<SelectionVectorCache> local_selections_;
+  std::optional<DecodedChunkCache> local_chunks_;
+  /// ChunkKeys of the chunks two or more queries read.
+  std::unordered_set<uint64_t> shared_;
+  /// Band → its narrowest strict container on the same column. Keyed with
+  /// chunk 0: a band's container is the same on every chunk.
+  std::unordered_map<SelectionKey, RangePredicate, SelectionKeyHash> parents_;
+  std::atomic<uint64_t> decodes_{0};
+  std::atomic<uint64_t> evaluations_{0};
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> subsumed_{0};
+  std::atomic<uint64_t> values_examined_{0};
+};
+
+/// One late-materialization pass over a column: the selected rows' values
+/// (plus the access path each row was served by) and the gather counters.
+struct GatherResult {
+  std::vector<PointResult> points;
+  GatherStats stats;
+};
+
+/// Gathers `column` at the ascending global `rows`, one touched chunk per
+/// task under `ctx`: a shared chunk's rows are read from its decoded
+/// buffer, any other chunk's through its point-access path.
+Result<GatherResult> Gather(const Bound& bound, uint64_t column,
+                            const std::vector<uint64_t>& rows,
+                            const ExecContext& ctx, SharedChunks& shared) {
+  const ChunkedCompressedColumn& chunked = *bound.columns[column];
+  // Each touched chunk owns one run of the rows: (chunk, first row index).
+  std::vector<std::pair<uint64_t, size_t>> runs;
+  for (size_t i = 0; i < rows.size();) {
+    const uint64_t c = chunked.ChunkIndexOf(rows[i]);
+    const ZoneMap& zone = chunked.chunk(c).zone;
+    runs.push_back({c, i});
+    while (i < rows.size() && rows[i] < zone.row_begin + zone.row_count) ++i;
+  }
+  GatherResult gather;
+  gather.points.resize(rows.size());
+  RECOMP_RETURN_NOT_OK(ParallelForOk(ctx, runs.size(), [&](uint64_t g) {
+    const auto [c, begin] = runs[g];
+    const size_t end = g + 1 < runs.size() ? runs[g + 1].second : rows.size();
+    const CompressedChunk& chunk = chunked.chunk(c);
+    if (!shared.Shared(column, c)) {
+      return GetAtChunk(chunk, &rows[begin], end - begin,
+                        &gather.points[begin]);
+    }
+    RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
+                            shared.Decoded(column, c));
+    values->VisitPlain([&](const auto& col) {
+      for (size_t k = begin; k < end; ++k) {
+        gather.points[k] = {
+            static_cast<uint64_t>(col[rows[k] - chunk.zone.row_begin]),
+            Strategy::kDecompressScan};
+      }
+    });
+    return Status::OK();
+  }));
+  gather.stats.rows = rows.size();
+  gather.stats.chunks_touched = runs.size();
+  for (const PointResult& point : gather.points) {
+    ++gather.stats.strategy_rows[static_cast<int>(point.strategy)];
+  }
+  return gather;
+}
+
+/// Executes one planned query: its filter chunks (pushdown, or the shared
+/// path for shared chunks) fan out over `ctx`, then selections stitch,
+/// columns gather and aggregates fold.
+Result<ScanResult> RunQuery(const Bound& bound, const ScanSpec& spec,
+                            const Plan& plan, const ExecContext& ctx,
+                            SharedChunks& shared) {
+  const std::vector<const ChunkedCompressedColumn*>& columns = bound.columns;
+  const std::vector<ResolvedFilter>& filters = plan.filters;
   ScanResult result;
-  result.rows_scanned = rows;
+  result.rows_scanned = bound.rows;
 
   if (!filters.empty()) {
     const obs::Span filter_span("scan.filter");
-    // Row-range partition: the finest refinement of every filter column's
-    // chunk boundaries. Each range lies inside exactly one chunk of every
-    // filter column, so a chunk zone map speaks for the whole range; with
-    // one filter (or boundary-aligned columns) ranges are exactly the
-    // nonempty chunks, which keeps the wrappers bit-identical to the
-    // historical per-operator loops.
-    std::vector<uint64_t> bounds;
-    bounds.push_back(0);
-    bounds.push_back(rows);
-    for (const ResolvedFilter& f : filters) {
-      for (const auto& chunk : columns[f.column]->chunks()) {
-        bounds.push_back(chunk->zone.row_begin);
-      }
-    }
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-    const uint64_t num_ranges = bounds.size() < 2 ? 0 : bounds.size() - 1;
-
-    // For each filter, the chunk of its column owning each range.
-    std::vector<std::vector<uint64_t>> owner(
-        filters.size(), std::vector<uint64_t>(num_ranges, 0));
-    for (size_t f = 0; f < filters.size(); ++f) {
-      const auto& chunks = columns[filters[f].column]->chunks();
-      uint64_t ci = 0;
-      for (uint64_t r = 0; r < num_ranges; ++r) {
-        while (ci + 1 < chunks.size() &&
-               chunks[ci]->zone.row_begin + chunks[ci]->zone.row_count <=
-                   bounds[r]) {
-          ++ci;
-        }
-        owner[f][r] = ci;
-      }
-    }
-
-    // Phase 1 (zone maps only): a range is dead when any filter's owning
-    // chunk is disjoint from its predicate — zone-map pruning intersected
-    // across all filter columns, so a chunk any predicate prunes is never
-    // touched for *any* column. From the live ranges, classify each
-    // filter's chunks: a (filter, chunk) pair needs its payload only when
-    // the chunk overlaps the predicate without being contained AND owns at
-    // least one live range — and each needed pair executes exactly once, no
-    // matter how many ranges the chunk spans under misaligned boundaries.
-    std::vector<char> dead(num_ranges, 0);
-    for (uint64_t r = 0; r < num_ranges; ++r) {
-      for (size_t f = 0; f < filters.size(); ++f) {
-        const ZoneMap& zone =
-            columns[filters[f].column]->chunk(owner[f][r]).zone;
-        if (zone.DisjointFrom(filters[f].predicate.lo,
-                              filters[f].predicate.hi)) {
-          dead[r] = 1;
-          break;
-        }
-      }
-    }
-    std::vector<std::vector<ChunkAction>> chunk_action(filters.size());
-    std::vector<std::vector<size_t>> slot_of(filters.size());
-    std::vector<std::pair<size_t, uint64_t>> exec_pairs;
-    for (size_t f = 0; f < filters.size(); ++f) {
-      const ChunkedCompressedColumn& column = *columns[filters[f].column];
-      chunk_action[f].assign(column.num_chunks(), ChunkAction::kNotReached);
-      slot_of[f].assign(column.num_chunks(), ~size_t{0});
-      for (uint64_t r = 0; r < num_ranges; ++r) {
-        const uint64_t c = owner[f][r];
-        const ZoneMap& zone = column.chunk(c).zone;
-        if (zone.DisjointFrom(filters[f].predicate.lo,
-                              filters[f].predicate.hi)) {
-          chunk_action[f][c] = ChunkAction::kPruned;
-        } else if (!dead[r] &&
-                   chunk_action[f][c] == ChunkAction::kNotReached) {
-          chunk_action[f][c] = zone.ContainedIn(filters[f].predicate.lo,
-                                                filters[f].predicate.hi)
-                                   ? ChunkAction::kFull
-                                   : ChunkAction::kExecute;
-        }
-      }
-      for (uint64_t c = 0; c < column.num_chunks(); ++c) {
-        if (chunk_action[f][c] == ChunkAction::kExecute) {
-          slot_of[f][c] = exec_pairs.size();
-          exec_pairs.push_back({f, c});
-        }
-      }
-    }
-
-    // Phase 2: run the per-chunk strategies for the needed pairs,
-    // concurrently under ctx, each into its own slot.
+    // Run the per-chunk evaluations for the needed pairs, concurrently
+    // under ctx, each into its own slot.
     std::vector<std::shared_ptr<const SelectionResult>> slots;
     RECOMP_RETURN_NOT_OK(VisitIndicesInto(
-        ctx, static_cast<uint64_t>(exec_pairs.size()), &slots,
+        ctx, static_cast<uint64_t>(plan.exec_pairs.size()), &slots,
         [&](uint64_t p) -> Result<std::shared_ptr<const SelectionResult>> {
-          const auto [f, c] = exec_pairs[p];
-          return pipeline.SelectChunk(filters[f].column, c,
-                                      filters[f].predicate);
+          const auto [f, c] = plan.exec_pairs[p];
+          const uint64_t column = filters[f].column;
+          if (shared.Shared(column, c)) {
+            return shared.Select(column, c, filters[f].predicate);
+          }
+          RECOMP_ASSIGN_OR_RETURN(
+              SelectionResult selection,
+              SelectCompressed(columns[column]->chunk(c).column,
+                               filters[f].predicate));
+          return std::make_shared<const SelectionResult>(std::move(selection));
         }));
 
     // Stats, per filter in chunk order — each chunk counted once, so
@@ -427,8 +731,8 @@ Result<ScanResult> ScanColumns(
       result.filters[f].column = spec.filters()[f].column;
       ChunkedSelectionStats& stats = result.filters[f].stats;
       stats.chunks_total = columns[filters[f].column]->num_chunks();
-      for (uint64_t c = 0; c < chunk_action[f].size(); ++c) {
-        switch (chunk_action[f][c]) {
+      for (uint64_t c = 0; c < plan.chunk_action[f].size(); ++c) {
+        switch (plan.chunk_action[f][c]) {
           case ChunkAction::kNotReached:
             break;
           case ChunkAction::kPruned:
@@ -438,7 +742,7 @@ Result<ScanResult> ScanColumns(
             ++stats.chunks_full;
             break;
           case ChunkAction::kExecute: {
-            const SelectionResult& sub = *slots[slot_of[f][c]];
+            const SelectionResult& sub = *slots[plan.slot_of[f][c]];
             ++stats.chunks_executed;
             ++stats.strategy_chunks[static_cast<int>(sub.stats.strategy)];
             stats.values_decoded += sub.stats.values_decoded;
@@ -449,21 +753,21 @@ Result<ScanResult> ScanColumns(
       }
     }
 
-    // Phase 3 (sequential, range order): intersect the cached chunk hits,
-    // clipped to each live range, in spec order — positions stay sorted and
-    // every byte of this result is identical for any thread count.
+    // Sequentially, in range order: intersect the chunk hits, clipped to
+    // each live range, in spec order — positions stay sorted and every byte
+    // of this result is identical for any thread count.
     const uint64_t limit = spec.limit();
-    for (uint64_t r = 0; r < num_ranges; ++r) {
-      if (dead[r]) continue;
-      const uint64_t begin = bounds[r];
-      const uint64_t end = bounds[r + 1];
+    for (uint64_t r = 0; r < plan.num_ranges(); ++r) {
+      if (plan.dead[r]) continue;
+      const uint64_t begin = plan.bounds[r];
+      const uint64_t end = plan.bounds[r + 1];
       Column<uint32_t> sel;
       bool constrained = false;  // sel a strict subset of the range?
       for (size_t f = 0; f < filters.size(); ++f) {
-        const uint64_t c = owner[f][r];
-        if (chunk_action[f][c] == ChunkAction::kFull) continue;
+        const uint64_t c = plan.owner[f][r];
+        if (plan.chunk_action[f][c] == ChunkAction::kFull) continue;
         if (constrained && sel.empty()) break;
-        const SelectionResult& cached = *slots[slot_of[f][c]];
+        const SelectionResult& cached = *slots[plan.slot_of[f][c]];
         const uint64_t base =
             columns[filters[f].column]->chunk(c).zone.row_begin;
         // The chunk's hits are sorted and chunk-local: binary-search the
@@ -502,21 +806,18 @@ Result<ScanResult> ScanColumns(
       }
     }
   } else {
-    result.rows_matched = rows;
+    result.rows_matched = bound.rows;
   }
 
   // The rows projections and aggregates see: the (limited) selection, or —
-  // with no filters — an identity prefix. A filterless, unlimited aggregate
-  // skips the selection entirely and pushes down per chunk.
-  const uint64_t take = std::min(spec.limit(), rows);
-  const bool pushdown_aggregates = filters.empty() && take == rows;
+  // with no filters — an identity prefix.
   std::vector<uint64_t> sel;
   if (!filters.empty()) {
     sel.assign(result.positions.begin(), result.positions.end());
-  } else if (!projections.empty() ||
-             (!aggregates.empty() && !pushdown_aggregates)) {
-    sel.resize(take);
-    for (uint64_t i = 0; i < take; ++i) sel[i] = i;
+  } else if (!plan.projections.empty() ||
+             (!plan.aggregates.empty() && !plan.pushdown_aggregates)) {
+    sel.resize(plan.take);
+    for (uint64_t i = 0; i < plan.take; ++i) sel[i] = i;
   }
 
   // Late materialization, one gather per distinct column even when it is
@@ -528,19 +829,20 @@ Result<ScanResult> ScanColumns(
     auto it = gathers.find(col);
     if (it != gathers.end()) return &it->second;
     RECOMP_ASSIGN_OR_RETURN(GatherResult gather,
-                            pipeline.GatherRows(col, sel, ctx));
+                            Gather(bound, col, sel, ctx, shared));
     return &gathers.emplace(col, std::move(gather)).first->second;
   };
 
-  for (size_t p = 0; p < projections.size(); ++p) {
+  for (size_t p = 0; p < plan.projections.size(); ++p) {
     ScanProjection out;
     out.column = spec.projections()[p];
-    RECOMP_ASSIGN_OR_RETURN(const GatherResult* gather, gather_for(projections[p]));
+    RECOMP_ASSIGN_OR_RETURN(const GatherResult* gather,
+                            gather_for(plan.projections[p]));
     out.gather = gather->stats;
     RECOMP_ASSIGN_OR_RETURN(
         out.values,
         DispatchUnsignedTypeId(
-            columns[projections[p]]->type(),
+            columns[plan.projections[p]]->type(),
             [&](auto tag) -> Result<AnyColumn> {
               using T = typename decltype(tag)::type;
               Column<T> values(gather->points.size());
@@ -552,14 +854,15 @@ Result<ScanResult> ScanColumns(
     result.projections.push_back(std::move(out));
   }
 
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    const auto [col, op] = aggregates[a];
+  for (size_t a = 0; a < plan.aggregates.size(); ++a) {
+    const auto [col, op] = plan.aggregates[a];
     ScanAggregate out;
     out.column = spec.aggregates()[a].column;
     out.op = op;
-    if (pushdown_aggregates) {
-      RECOMP_ASSIGN_OR_RETURN(out.agg, AggregateWholeColumn(*columns[col], op, ctx));
-      out.rows = rows;
+    if (plan.pushdown_aggregates) {
+      RECOMP_ASSIGN_OR_RETURN(out.agg,
+                              AggregateWholeColumn(*columns[col], op, ctx));
+      out.rows = bound.rows;
     } else {
       out.rows = sel.size();
       if (op == AggregateOp::kCount) {
@@ -643,48 +946,80 @@ Result<ScanResult> ScanColumns(
   return result;
 }
 
+/// The one scan executor: plans every query of `specs` from the zone maps,
+/// marks the chunks two or more of them read as shared, then runs each
+/// query. A lone query fans its chunk work out over `ctx`; a batch fans out
+/// one task per query, each running its chunks in sequence inside it —
+/// nesting a fan-out on the shared pool would deadlock a saturated
+/// fixed-size pool, and cross-query parallelism already covers the batch.
+std::vector<Result<ScanResult>> RunBatch(
+    const Bound& bound, const std::vector<const ScanSpec*>& specs,
+    const ExecContext& ctx, SelectionVectorCache* selection_cache = nullptr,
+    DecodedChunkCache* decoded_cache = nullptr, BatchStats* stats = nullptr,
+    bool subsume = false) {
+  std::vector<Result<Plan>> plans;
+  plans.reserve(specs.size());
+  for (const ScanSpec* spec : specs) plans.push_back(PlanScan(bound, *spec));
+  SharedChunks shared(bound, plans, selection_cache, decoded_cache, subsume);
+  std::vector<Result<ScanResult>> results(
+      specs.size(), Status::InvalidArgument("query not executed"));
+  const auto run = [&](uint64_t q, const ExecContext& query_ctx) {
+    results[q] = plans[q].ok()
+                     ? RunQuery(bound, *specs[q], *plans[q], query_ctx, shared)
+                     : plans[q].status();
+  };
+  if (specs.size() == 1) {
+    run(0, ctx);
+  } else {
+    ParallelFor(ctx, specs.size(), [&](uint64_t q) { run(q, ExecContext{}); });
+  }
+  const BatchStats batch = shared.Fold();
+  if (stats != nullptr) *stats = batch;
+  return results;
+}
+
+Bound BindSnapshot(const store::TableSnapshot& snapshot) {
+  Bound bound;
+  bound.columns.reserve(snapshot.num_columns());
+  for (uint64_t i = 0; i < snapshot.num_columns(); ++i) {
+    bound.columns.push_back(&snapshot.column(i).chunked());
+  }
+  bound.lookup = [&snapshot](const std::string& name) -> Result<uint64_t> {
+    return snapshot.column_index(name);
+  };
+  bound.rows = snapshot.rows();
+  bound.version = snapshot.version();
+  return bound;
+}
+
 }  // namespace
 
 Result<ScanResult> Scan(const store::TableSnapshot& snapshot,
                         const ScanSpec& spec, const ExecContext& ctx) {
-  std::vector<const ChunkedCompressedColumn*> columns;
-  columns.reserve(snapshot.num_columns());
-  for (uint64_t i = 0; i < snapshot.num_columns(); ++i) {
-    columns.push_back(&snapshot.column(i).chunked());
-  }
-  const Lookup lookup = [&](const std::string& name) -> Result<uint64_t> {
-    return snapshot.column_index(name);
-  };
-  DefaultChunkPipeline pipeline(columns);
-  return ScanColumns(columns, lookup, snapshot.rows(), spec, ctx, pipeline);
+  return std::move(RunBatch(BindSnapshot(snapshot), {&spec}, ctx)[0]);
 }
 
 Result<ScanResult> Scan(const ChunkedCompressedColumn& column,
                         const ScanSpec& spec, const ExecContext& ctx) {
-  const std::vector<const ChunkedCompressedColumn*> columns{&column};
-  const Lookup lookup = [&](const std::string& name) -> Result<uint64_t> {
+  Bound bound;
+  bound.columns = {&column};
+  bound.lookup = [](const std::string& name) -> Result<uint64_t> {
     if (name.empty()) return uint64_t{0};
     return Status::KeyError("no column named '" + name +
                             "': a single-column scan addresses its column "
                             "with the empty name");
   };
-  DefaultChunkPipeline pipeline(columns);
-  return ScanColumns(columns, lookup, column.size(), spec, ctx, pipeline);
+  bound.rows = column.size();
+  return std::move(RunBatch(bound, {&spec}, ctx)[0]);
 }
 
-Result<ScanResult> ScanWithPipeline(const store::TableSnapshot& snapshot,
-                                    const ScanSpec& spec,
-                                    const ExecContext& ctx,
-                                    ChunkPipeline& pipeline) {
-  std::vector<const ChunkedCompressedColumn*> columns;
-  columns.reserve(snapshot.num_columns());
-  for (uint64_t i = 0; i < snapshot.num_columns(); ++i) {
-    columns.push_back(&snapshot.column(i).chunked());
-  }
-  const Lookup lookup = [&](const std::string& name) -> Result<uint64_t> {
-    return snapshot.column_index(name);
-  };
-  return ScanColumns(columns, lookup, snapshot.rows(), spec, ctx, pipeline);
+std::vector<Result<ScanResult>> ExecuteBatch(
+    const store::TableSnapshot& snapshot,
+    const std::vector<const ScanSpec*>& specs, const ExecContext& ctx,
+    SelectionVectorCache* selection_cache, DecodedChunkCache* decoded_cache,
+    BatchStats* stats, bool subsume_predicates) {
+  return RunBatch(BindSnapshot(snapshot), specs, ctx, selection_cache,
+                  decoded_cache, stats, subsume_predicates);
 }
 
 bool ScanOutputsEqual(const ScanResult& a, const ScanResult& b) {

@@ -11,18 +11,21 @@
 // predicates with the same per-chunk pushdown strategies the free
 // functions use (including the kPlainScan ID fast path over live tails),
 // intersecting selection vectors, and only then late-materializing the
-// projected columns via batch point access — the filter-then-materialize
-// pattern of "Revisiting Data Compression in Column-Stores" (PAPERS.md).
+// projected columns by point access — the filter-then-materialize pattern
+// of "Revisiting Data Compression in Column-Stores" (PAPERS.md).
 //
-// The per-operator free functions (SelectCompressed, Sum/Min/MaxCompressed,
-// GetAtBatch) remain as thin wrappers over one-filter / one-aggregate specs
-// and return bit-identical results; new code should prefer Scan.
+// Scan is the batch scan of exec/scan_batch.h run over one spec: with no
+// companion query, no chunk is shared, so every chunk runs its pushdown
+// strategy and every gathered row comes off its chunk's point-access path.
+//
+// The per-operator free functions (SelectCompressed, Sum/Min/MaxCompressed)
+// remain as thin wrappers over one-filter / one-aggregate specs and return
+// bit-identical results; new code should prefer Scan.
 
 #ifndef RECOMP_EXEC_SCAN_H_
 #define RECOMP_EXEC_SCAN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,43 +150,6 @@ struct GatherStats {
   std::string ToString() const;
 };
 
-/// One late-materialization pass over a column: the selected rows' values
-/// (plus the access path each row was served by) and the gather counters.
-struct GatherResult {
-  std::vector<PointResult> points;
-  GatherStats stats;
-};
-
-/// The per-chunk execution surface of a scan, factored out of the driver so
-/// a batch executor can substitute shared decoded buffers for the default
-/// per-chunk pushdown strategies (service/shared_scan.h): the driver owns
-/// planning (zone-map intersection, range refinement), selection stitching,
-/// limits, aggregates, and metrics; the pipeline owns how one (column,
-/// chunk) pair is filtered and how one column's rows are materialized.
-///
-/// Contract: any implementation must return the same positions and values
-/// the default produces (SelectCompressed / GetAtBatch) — only the stats
-/// describing *how* the work ran may differ. Implementations must be safe
-/// to call concurrently from pool workers when the same pipeline serves
-/// several scans at once.
-class ChunkPipeline {
- public:
-  virtual ~ChunkPipeline() = default;
-
-  /// Evaluates `predicate` over chunk `chunk` of column `column`, returning
-  /// chunk-local sorted positions. Called only for chunks the zone maps
-  /// could neither prune nor contain, each needed pair exactly once. Shared
-  /// and immutable, so a cached selection is handed out without a copy.
-  virtual Result<std::shared_ptr<const SelectionResult>> SelectChunk(
-      uint64_t column, uint64_t chunk, const RangePredicate& predicate) = 0;
-
-  /// Gathers the values of `column` at the global `rows` (ascending), in
-  /// input order.
-  virtual Result<GatherResult> GatherRows(uint64_t column,
-                                          const std::vector<uint64_t>& rows,
-                                          const ExecContext& ctx) = 0;
-};
-
 /// One projected column: the selected rows' values in row order, in the
 /// column's native type.
 struct ScanProjection {
@@ -243,23 +209,13 @@ Result<ScanResult> Scan(const store::TableSnapshot& snapshot,
 Result<ScanResult> Scan(const ChunkedCompressedColumn& column,
                         const ScanSpec& spec, const ExecContext& ctx = {});
 
-/// The factored entry point: the same driver Scan runs, with the per-chunk
-/// work routed through `pipeline` instead of the default pushdown
-/// strategies. The pipeline must be built over this snapshot's columns (in
-/// snapshot column order). Outputs equal Scan's for any conforming pipeline
-/// (ScanOutputsEqual); stats may describe a different execution path.
-Result<ScanResult> ScanWithPipeline(const store::TableSnapshot& snapshot,
-                                    const ScanSpec& spec,
-                                    const ExecContext& ctx,
-                                    ChunkPipeline& pipeline);
-
 /// True iff two scan results carry the same *outputs*: scanned/matched row
 /// counts, positions, projected values, and aggregate values. Execution
 /// stats (strategy counters, chunks pruned/decoded, gather paths) are
-/// deliberately excluded — a batched scan served from a shared decoded
-/// buffer reports different stats than a solo pushdown scan while being
-/// required to produce identical outputs. This is the equality the service
-/// tests and bench_e18 assert.
+/// deliberately excluded — a query served from a shared decoded buffer
+/// reports different stats than a solo pushdown scan while being required
+/// to produce identical outputs. This is the equality the service tests and
+/// bench_e18 assert.
 bool ScanOutputsEqual(const ScanResult& a, const ScanResult& b);
 
 /// The canonical identity of a spec's *outputs*: two specs with the same

@@ -26,19 +26,13 @@ struct RangePredicate {
   uint64_t lo = 0;
   uint64_t hi = ~uint64_t{0};
 
-  /// True iff every value this band accepts, `other` would accept too —
-  /// the containment order cross-query predicate subsumption is built on
-  /// (service/shared_scan.h): when A contains B, B's selection is a subset
-  /// of A's, so B can re-filter A's matches instead of the whole chunk.
-  bool Contains(const RangePredicate& other) const {
-    return lo <= other.lo && other.hi <= hi;
-  }
-
-  /// Contains, excluding the band itself (equal bands are the *same*
-  /// predicate and belong to the selection cache, not the subsumption
-  /// lattice).
+  /// True iff this band accepts every value `other` accepts and the two
+  /// differ — the containment order cross-query predicate subsumption is
+  /// built on (exec/scan_batch.h): B's selection is then a subset of A's,
+  /// so B can re-filter A's matches instead of the whole chunk. Equal bands
+  /// are the *same* predicate and belong to the selection cache instead.
   bool StrictlyContains(const RangePredicate& other) const {
-    return Contains(other) && (lo != other.lo || hi != other.hi);
+    return lo <= other.lo && other.hi <= hi && !(*this == other);
   }
 
   bool operator==(const RangePredicate& other) const {
@@ -50,7 +44,7 @@ struct RangePredicate {
 
 /// The range-filter loop over plain values: calls emit(i, v) for every
 /// index whose value v lies inside `pred`, in index order. Selection's
-/// scans and the shared-scan service's chunk and subsumption filters all
+/// scans and the batch scan's shared-chunk and subsumption filters all
 /// run through it.
 template <typename T, typename Emit>
 void ForEachMatch(const Column<T>& values, const RangePredicate& pred,

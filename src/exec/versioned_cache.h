@@ -1,6 +1,7 @@
-// The service's one cache. Decoded chunks, per-chunk selections and whole
-// results are all intermediates computed from one table version and reused
-// while that version stands; ServiceCache<Traits> owns the rules they share.
+// The one cache behind every intermediate a scan batch or the query service
+// keeps. Decoded chunks, per-chunk selections and whole results are all
+// computed from one table version and reused while that version stands;
+// VersionedCache<Traits> owns the rules they share.
 //
 //   * One current version. A request carrying a newer version purges every
 //     entry first (a table's versions only move forward, so older entries
@@ -20,8 +21,8 @@
 //     is not in the eviction order until it settles.
 //
 // Traits fix each instance's key, value, cost unit and registry counters at
-// compile time (SelectionVectorCache in selection_cache.h, ResultCache in
-// result_cache.h, DecodedChunkCache in shared_scan.h):
+// compile time (SelectionVectorCache and DecodedChunkCache in
+// exec/scan_batch.h, ResultCache in service/result_cache.h):
 //
 //   struct Traits {
 //     using Key = ...;  using Hash = ...;  using Value = ...;
@@ -29,8 +30,8 @@
 //     static CacheCounters Counters();
 //   };
 
-#ifndef RECOMP_SERVICE_SERVICE_CACHE_H_
-#define RECOMP_SERVICE_SERVICE_CACHE_H_
+#ifndef RECOMP_EXEC_VERSIONED_CACHE_H_
+#define RECOMP_EXEC_VERSIONED_CACHE_H_
 
 #include <cstdint>
 #include <deque>
@@ -46,7 +47,7 @@
 #include "util/result.h"
 #include "util/thread_annotations.h"
 
-namespace recomp::service {
+namespace recomp::exec {
 
 /// The registry counters an instance bumps; null where it keeps none.
 struct CacheCounters {
@@ -58,7 +59,7 @@ struct CacheCounters {
 /// Thread-safe (version, key) → shared_ptr<const Value> cache. All methods
 /// may be called concurrently from pool workers.
 template <typename Traits>
-class ServiceCache {
+class VersionedCache {
  public:
   using Key = typename Traits::Key;
   using Value = typename Traits::Value;
@@ -66,7 +67,7 @@ class ServiceCache {
 
   /// `budget`, in Traits::Cost units, bounds what EvictToBudget() keeps; 0
   /// keeps nothing past the batch.
-  explicit ServiceCache(uint64_t budget) : budget_(budget) {}
+  explicit VersionedCache(uint64_t budget) : budget_(budget) {}
 
   /// The value of `key` at `version`: stored, in flight (waited for), or
   /// computed now by `compute`, a callable returning Result<Value>. A failed
@@ -214,6 +215,6 @@ class ServiceCache {
   uint64_t cost_ RECOMP_GUARDED_BY(mu_) = 0;
 };
 
-}  // namespace recomp::service
+}  // namespace recomp::exec
 
-#endif  // RECOMP_SERVICE_SERVICE_CACHE_H_
+#endif  // RECOMP_EXEC_VERSIONED_CACHE_H_

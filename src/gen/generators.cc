@@ -34,7 +34,8 @@ Column<uint32_t> SortedRuns(uint64_t n, double avg_run_length,
   while (col.size() < n) {
     const uint64_t run = rng.Geometric(p);
     for (uint64_t i = 0; i < run && col.size() < n; ++i) col.push_back(value);
-    value += 1 + static_cast<uint32_t>(rng.Below(std::max<uint32_t>(1, max_step)));
+    value +=
+        1 + static_cast<uint32_t>(rng.Below(std::max<uint32_t>(1, max_step)));
   }
   return col;
 }
@@ -109,7 +110,8 @@ Column<uint32_t> OutlierMix(uint64_t n, int base_bits, int outlier_bits,
   for (auto& v : col) {
     if (rng.Bernoulli(outlier_fraction)) {
       // Force a genuinely wide value: set the top bit of the outlier range.
-      v = static_cast<uint32_t>(rng.Below(outlier_bound) | (outlier_bound >> 1));
+      v = static_cast<uint32_t>(rng.Below(outlier_bound) |
+                                (outlier_bound >> 1));
     } else {
       v = static_cast<uint32_t>(rng.Below(base_bound));
     }

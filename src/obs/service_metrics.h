@@ -2,15 +2,16 @@
 //
 // Lives in obs/ (not service/) because it is pure registry plumbing — the
 // same function-local-static bundle pattern as the scan and pool metrics —
-// and because two service translation units (the admission/dispatch layer
-// and the batch executor) record into the same counters.
+// and because both the admission/dispatch layer (service/) and the batch
+// scan (exec/scan_batch.h) record into the same counters.
 //
 // The headline derived quantity is the *sharing ratio*:
 //   service.chunk_evaluations / service.chunks_decoded
-// — how many per-query chunk evaluations each physical decode served. A
-// solo scan pins it at 1; a batch of N queries hitting the same chunks
-// drives it toward N. bench_e18 reads both counters from a registry
-// snapshot to report it.
+// — how many filter-chunk evaluations each shared decode served. Both
+// count shared chunks only: a chunk one query needs runs its pushdown
+// strategy and shows in scan.strategy.* instead, so a lone query moves
+// neither, and a batch of N queries on the same chunks drives the ratio
+// toward N. bench_e18 reads both counters from a registry snapshot.
 
 #ifndef RECOMP_OBS_SERVICE_METRICS_H_
 #define RECOMP_OBS_SERVICE_METRICS_H_
@@ -39,9 +40,9 @@ struct ServiceMetrics {
   /// deadline would not have survived the full hold.
   Counter* window_early_cuts;
 
-  // Shared-scan work accounting.
-  Counter* chunks_decoded;     ///< Physical chunk decodes (once per chunk).
-  Counter* chunk_evaluations;  ///< Per-query chunk filter evaluations.
+  // Shared-chunk work accounting.
+  Counter* chunks_decoded;     ///< Decodes into shared buffers.
+  Counter* chunk_evaluations;  ///< Filter evaluations of shared chunks.
   Counter* selection_cache_hits;
   Counter* selection_cache_misses;
   Counter* selection_cache_invalidations;

@@ -315,7 +315,8 @@ inline __m256i PrefixSum8(__m256i x) {
 /// Inclusive prefix sum within one 4-lane u64 vector.
 inline __m256i PrefixSum4x64(__m256i x) {
   x = _mm256_add_epi64(x, _mm256_slli_si256(x, 8));
-  const __m256i low_total = _mm256_permute4x64_epi64(x, _MM_SHUFFLE(1, 1, 1, 1));
+  const __m256i low_total =
+      _mm256_permute4x64_epi64(x, _MM_SHUFFLE(1, 1, 1, 1));
   const __m256i carry = _mm256_permute2x128_si256(low_total, low_total, 0x08);
   return _mm256_add_epi64(x, carry);
 }

@@ -30,7 +30,8 @@ class DictScheme final : public Scheme {
           dictionary.erase(std::unique(dictionary.begin(), dictionary.end()),
                            dictionary.end());
           if (dictionary.size() >= (uint64_t{1} << 32)) {
-            return Status::OutOfRange("DICT supports below 2^32 distinct values");
+            return Status::OutOfRange(
+                "DICT supports below 2^32 distinct values");
           }
           Column<uint32_t> codes(col.size());
           for (uint64_t i = 0; i < col.size(); ++i) {
@@ -48,7 +49,8 @@ class DictScheme final : public Scheme {
 
   Result<AnyColumn> Decompress(const PartsMap& parts, const SchemeDescriptor&,
                                const DecompressContext& ctx) const override {
-    RECOMP_ASSIGN_OR_RETURN(const AnyColumn* codes_any, GetPart(parts, "codes"));
+    RECOMP_ASSIGN_OR_RETURN(const AnyColumn* codes_any,
+                            GetPart(parts, "codes"));
     RECOMP_ASSIGN_OR_RETURN(const AnyColumn* dict_any,
                             GetPart(parts, "dictionary"));
     if (codes_any->is_packed() || codes_any->type() != TypeId::kUInt32) {

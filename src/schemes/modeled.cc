@@ -126,7 +126,8 @@ class ModeledScheme final : public Scheme {
     RECOMP_ASSIGN_OR_RETURN(const AnyColumn* residual_any,
                             GetPart(parts, "residual"));
     if (residual_any->size() != ctx.n) {
-      return Status::Corruption("MODELED residual length differs from envelope");
+      return Status::Corruption(
+          "MODELED residual length differs from envelope");
     }
     return DispatchUnsignedTypeId(
         ctx.out_type, [&](auto tag) -> Result<AnyColumn> {

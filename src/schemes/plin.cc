@@ -50,7 +50,8 @@ class PlinScheme final : public Scheme {
   Result<AnyColumn> Decompress(const PartsMap& parts,
                                const SchemeDescriptor& desc,
                                const DecompressContext& ctx) const override {
-    RECOMP_ASSIGN_OR_RETURN(const AnyColumn* bases_any, GetPart(parts, "bases"));
+    RECOMP_ASSIGN_OR_RETURN(const AnyColumn* bases_any,
+                            GetPart(parts, "bases"));
     RECOMP_ASSIGN_OR_RETURN(const AnyColumn* slopes_any,
                             GetPart(parts, "slopes"));
     const uint64_t ell = desc.params.segment_length;

@@ -51,8 +51,8 @@ class Scheme {
   /// Compresses a plain column. `desc` is this scheme's own node (children
   /// ignored); zero-valued parameters are resolved from the data and
   /// recorded in the returned descriptor.
-  virtual Result<CompressOutput> Compress(const AnyColumn& input,
-                                          const SchemeDescriptor& desc) const = 0;
+  virtual Result<CompressOutput> Compress(
+      const AnyColumn& input, const SchemeDescriptor& desc) const = 0;
 
   /// Reverses Compress given fully materialized parts and the resolved
   /// descriptor. This is the *reference* ("fused") decompression; the
@@ -66,7 +66,8 @@ class Scheme {
 const Scheme* GetScheme(SchemeKind kind);
 
 /// Fetches a part by name, failing with KeyError when absent.
-Result<const AnyColumn*> GetPart(const PartsMap& parts, const std::string& name);
+Result<const AnyColumn*> GetPart(const PartsMap& parts,
+                                 const std::string& name);
 
 }  // namespace recomp
 

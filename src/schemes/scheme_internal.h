@@ -70,7 +70,8 @@ auto DispatchAnyColumn(const AnyColumn& input, F&& f)
 
 /// Invokes f(TypeTag<T>{}) for the unsigned type identified by `t`.
 template <typename F>
-auto DispatchUnsignedTypeId(TypeId t, F&& f) -> decltype(f(TypeTag<uint32_t>{})) {
+auto DispatchUnsignedTypeId(TypeId t, F&& f)
+    -> decltype(f(TypeTag<uint32_t>{})) {
   switch (t) {
     case TypeId::kUInt8:
       return f(TypeTag<uint8_t>{});

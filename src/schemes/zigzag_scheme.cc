@@ -21,24 +21,26 @@ class ZigZagScheme final : public Scheme {
 
   Result<CompressOutput> Compress(const AnyColumn& input,
                                   const SchemeDescriptor&) const override {
-    return DispatchAnyColumn(input, [&](const auto& col) -> Result<CompressOutput> {
-      using T = typename std::decay_t<decltype(col)>::value_type;
-      using S = std::make_signed_t<T>;
-      using U = std::make_unsigned_t<T>;
-      Column<U> recoded(col.size());
-      for (uint64_t i = 0; i < col.size(); ++i) {
-        recoded[i] = zigzag::Encode(static_cast<S>(col[i]));
-      }
-      CompressOutput out;
-      out.resolved = SchemeDescriptor(SchemeKind::kZigZag);
-      out.parts.emplace("recoded", std::move(recoded));
-      return out;
-    });
+    return DispatchAnyColumn(
+        input, [&](const auto& col) -> Result<CompressOutput> {
+          using T = typename std::decay_t<decltype(col)>::value_type;
+          using S = std::make_signed_t<T>;
+          using U = std::make_unsigned_t<T>;
+          Column<U> recoded(col.size());
+          for (uint64_t i = 0; i < col.size(); ++i) {
+            recoded[i] = zigzag::Encode(static_cast<S>(col[i]));
+          }
+          CompressOutput out;
+          out.resolved = SchemeDescriptor(SchemeKind::kZigZag);
+          out.parts.emplace("recoded", std::move(recoded));
+          return out;
+        });
   }
 
   Result<AnyColumn> Decompress(const PartsMap& parts, const SchemeDescriptor&,
                                const DecompressContext& ctx) const override {
-    RECOMP_ASSIGN_OR_RETURN(const AnyColumn* recoded, GetPart(parts, "recoded"));
+    RECOMP_ASSIGN_OR_RETURN(const AnyColumn* recoded,
+                            GetPart(parts, "recoded"));
     if (recoded->size() != ctx.n) {
       return Status::Corruption("ZIGZAG part length differs from envelope");
     }

@@ -17,6 +17,19 @@ uint64_t ElapsedNanos(std::chrono::steady_clock::time_point from,
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
+/// t + d, clamped to time_point::max() — which no clock reading passes, so
+/// a deadline or window that far out never fires. `d` is compared in its
+/// own unit, so no conversion of it can overflow either.
+template <typename Duration>
+std::chrono::steady_clock::time_point SaturatingAdd(
+    std::chrono::steady_clock::time_point t, Duration d) {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  if (d >= std::chrono::duration_cast<Duration>(TimePoint::max() - t)) {
+    return TimePoint::max();
+  }
+  return t + d;
+}
+
 }  // namespace
 
 Status ServiceOptions::Validate() const {
@@ -107,10 +120,7 @@ Result<QueryService::ResultFuture> QueryService::Submit(
     pending.client = client;
     pending.spec = std::move(spec);
     pending.enqueued = now;
-    if (deadline.has_value()) {
-      pending.has_deadline = true;
-      pending.deadline = now + *deadline;
-    }
+    if (deadline.has_value()) pending.deadline = SaturatingAdd(now, *deadline);
     future = pending.promise.get_future();
     queue_.push_back(std::move(pending));
   }
@@ -158,16 +168,14 @@ void QueryService::DispatcherLoop() {
       // nothing a live answer wouldn't lose. Submits notify cv_, so a
       // tight-deadline query arriving mid-hold re-runs this scan.
       const auto window_deadline =
-          queue_.front().enqueued + options_.batch_window;
+          SaturatingAdd(queue_.front().enqueued, options_.batch_window);
       bool early_cut = false;
       for (;;) {
         if (stop_ || queue_.size() >= options_.max_batch_queries) break;
         if (std::chrono::steady_clock::now() >= window_deadline) break;
         auto earliest = window_deadline;
         for (const Pending& pending : queue_) {
-          if (pending.has_deadline && pending.deadline < earliest) {
-            earliest = pending.deadline;
-          }
+          earliest = std::min(earliest, pending.deadline);
         }
         if (earliest < window_deadline) {
           early_cut = true;
@@ -205,7 +213,7 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
   live.reserve(batch->size());
   for (Pending& pending : *batch) {
     metrics.queue_wait_ns->Record(ElapsedNanos(pending.enqueued, picked_up));
-    if (pending.has_deadline && picked_up > pending.deadline) {
+    if (picked_up > pending.deadline) {
       metrics.deadline_expired->Increment();
       Finish(&pending, Status::DeadlineExceeded(
                            "deadline passed while the query was queued"));
@@ -309,7 +317,7 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
     {
       MutexLock lock(&mu_);
       ++totals_.batches;
-      totals_.queries_executed += stats.queries;
+      totals_.queries_executed += to_run.size();
       totals_.chunks_decoded += stats.chunks_decoded;
       totals_.chunk_evaluations += stats.chunk_evaluations;
       totals_.selection_cache_hits += stats.selection_cache_hits;
@@ -342,7 +350,7 @@ void QueryService::Deliver(Pending* pending, Result<exec::ScanResult> result,
   // is useless to the client and must be reported as the miss it is — the
   // queued-expiry path and this one together make DeadlineExceeded the
   // answer whenever the deadline passed, no matter where it passed.
-  if (pending->has_deadline && completed > pending->deadline) {
+  if (completed > pending->deadline) {
     metrics.deadline_missed_in_flight->Increment();
     Finish(pending, Status::DeadlineExceeded(
                         "deadline passed while the query was executing"));

@@ -3,32 +3,29 @@
 // Clients register, then submit ScanSpecs; each submit returns a future.
 // Admission control keeps an overload from queueing unbounded work: a
 // client over its in-flight limit or a full queue is refused immediately
-// with ResourceExhausted (fail fast beats queueing forever), and a query
-// whose deadline passes while queued is answered DeadlineExceeded without
-// executing. Admitted queries wait out a short batching window, then every
-// query of the window executes as ONE shared-scan batch over one table
-// snapshot (service/shared_scan.h): surviving chunks are fused-decoded once
-// and every query's predicate evaluates against the shared buffer, with
-// selection vectors recycled across queries and windows, nested predicates
-// subsumed into their containing bands, and whole results recycled through
-// the ResultCache — an identical spec at the same data version never
-// touches the pipeline at all (and identical specs *within* one window
-// execute once, the rest deduplicated onto that execution).
+// with ResourceExhausted (fail fast beats queueing forever). Admitted
+// queries wait out a short batching window, then the window's queries run
+// as one scan batch over one table snapshot (service/shared_scan.h): a
+// chunk two or more of them need is fused-decoded once and its selections
+// are recycled across queries and windows, nested bands subsume into their
+// containers, and every other chunk runs its own query's pushdown
+// strategy. Whole results recycle
+// through the ResultCache — an identical spec at the same data version
+// never executes, and identical specs *within* one window execute once.
 //
 // The batching window is the classic shared-scan latency/throughput knob: a
-// longer window groups more queries per pass (higher sharing ratio, higher
-// throughput) at the cost of adding up to one window to each query's
-// latency. Batches run at TaskPriority::kHigh on the shared pool, so
-// interactive queries jump ahead of queued seal and recompression jobs.
+// longer window groups more queries per pass (more shared chunks) at the
+// cost of adding up to one window to each query's latency. Batches run at
+// TaskPriority::kHigh on the shared pool, so interactive queries jump ahead
+// of queued seal and recompression jobs.
 //
 // Deadlines are honored at three points: the dispatcher cuts the window
-// early when the oldest queued deadline precedes the window deadline (a
-// query that could still execute must not die waiting for companions); a
-// query whose deadline already passed at batch pickup is refused without
-// executing (service.queries.deadline_expired); and every result is
-// re-checked after execution — a result that arrived past its deadline is
-// reported DeadlineExceeded (service.deadline_missed_in_flight), never a
-// late OK, so clients see one consistent contract.
+// early when a queued deadline precedes the window's end (a query that
+// could still execute must not die waiting for companions); a query whose
+// deadline passed by batch pickup is refused without executing
+// (service.queries.deadline_expired); and a result completed past its
+// deadline is reported DeadlineExceeded (service.deadline_missed_in_flight),
+// never a late OK.
 //
 // Results are bit-identical to running each spec through solo exec::Scan
 // against the same snapshot (exec::ScanOutputsEqual) — batching is purely
@@ -70,11 +67,11 @@ struct ServiceOptions {
   /// Max queries per batch; a longer queue dispatches in successive batches.
   uint64_t max_batch_queries = 1024;
   // The three cache budgets below apply when a window's answers are out;
-  // until then, everything its batch computes stays (service_cache.h).
-  /// Entries of per-chunk selection vectors kept across windows; 0 keeps
-  /// nothing past the batch (each selection is still computed once in it).
+  // until then, everything its batch computes stays (exec/versioned_cache.h).
+  /// Entries of shared chunks' selection vectors kept across windows; 0
+  /// keeps nothing past the batch (each is still computed once in it).
   uint64_t selection_cache_capacity = 1u << 16;
-  /// Bytes of decoded chunks kept warm across windows.
+  /// Bytes of shared chunks' decoded values kept warm across windows.
   uint64_t decoded_cache_bytes = uint64_t{256} << 20;
   /// Bytes of whole results kept across windows; 0 disables result caching
   /// *and* in-window deduplication (every admitted query then executes).
@@ -86,13 +83,17 @@ struct ServiceOptions {
   Status Validate() const;
 };
 
-/// Aggregated work accounting since the service started (see BatchStats for
-/// the per-batch meaning of each field).
+/// Aggregated work accounting since the service started. The chunk fields
+/// count shared chunks only (BatchStats); a chunk one query needs runs its
+/// pushdown strategy and shows in that result's per-filter stats.
 struct ServiceStats {
   uint64_t batches = 0;
   uint64_t queries_executed = 0;
+  /// Chunks fused-decoded into shared buffers.
   uint64_t chunks_decoded = 0;
+  /// Filter-chunk evaluations served by the shared path.
   uint64_t chunk_evaluations = 0;
+  /// Shared evaluations answered by the selection cache.
   uint64_t selection_cache_hits = 0;
   /// Queries answered from the result cache without executing.
   uint64_t result_cache_hits = 0;
@@ -101,7 +102,7 @@ struct ServiceStats {
   /// Chunk evaluations served by re-filtering a containing band's selection.
   uint64_t subsumed_evaluations = 0;
 
-  /// chunk_evaluations per physical decode; the shared-scan win.
+  /// Shared evaluations per shared decode; the shared-scan win.
   double sharing_ratio() const {
     return chunks_decoded == 0
                ? 0.0
@@ -121,9 +122,9 @@ class QueryService {
   /// Validates `options` and starts the dispatcher thread. `ctx` is the
   /// pool batches fan out over; its priority is raised to kHigh so batch
   /// scans jump ahead of queued seal jobs (util/thread_pool.h).
-  static Result<std::unique_ptr<QueryService>> Create(const store::Table* table,
-                                                      ServiceOptions options = {},
-                                                      ExecContext ctx = {});
+  static Result<std::unique_ptr<QueryService>> Create(
+      const store::Table* table, ServiceOptions options = {},
+      ExecContext ctx = {});
 
   /// Stops the service (draining queued queries) and joins the dispatcher.
   ~QueryService();
@@ -140,7 +141,7 @@ class QueryService {
   /// answered DeadlineExceeded instead of executing, and a result completed
   /// past it is answered DeadlineExceeded as well (never a late OK). A
   /// queued deadline tighter than the batching window cuts the window
-  /// early. Refusals:
+  /// early; one past the clock's range is no deadline. Refusals:
   ///   InvalidArgument    the service is stopped,
   ///   KeyError           unknown client id,
   ///   ResourceExhausted  client at max in-flight, or queue full.
@@ -169,8 +170,9 @@ class QueryService {
     exec::ScanSpec spec;
     std::promise<Result<exec::ScanResult>> promise;
     std::chrono::steady_clock::time_point enqueued;
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
+    /// time_point::max() for a query without one.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
   };
 
   QueryService(const store::Table* table, ServiceOptions options,

@@ -10,7 +10,7 @@
 //
 // Keys are canonical spec strings (exec::CanonicalSpecKey): filter order is
 // normalized away, so `Filter(a).Filter(b)` and `Filter(b).Filter(a)` share
-// one entry. ResultCache is the service cache (service_cache.h) over these
+// one entry. ResultCache is the versioned cache (exec/versioned_cache.h) over
 // results, budgeted in approximate bytes: a window's results stay until its
 // answers are delivered, then the oldest are shed to the budget. Callers
 // never store errors — a transient failure must not poison later retries.
@@ -23,8 +23,8 @@
 #include <string>
 
 #include "exec/scan.h"
+#include "exec/versioned_cache.h"
 #include "obs/service_metrics.h"
-#include "service/service_cache.h"
 
 namespace recomp::service {
 
@@ -40,7 +40,7 @@ struct ResultTraits {
   static uint64_t Cost(const exec::ScanResult& result) {
     return ApproxResultBytes(result);
   }
-  static CacheCounters Counters() {
+  static exec::CacheCounters Counters() {
     const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
     return {metrics.result_cache_insertions, metrics.result_cache_evictions,
             metrics.result_cache_invalidations};
@@ -48,7 +48,7 @@ struct ResultTraits {
 };
 
 /// (version, canonical spec) → ScanResult; the budget is bytes.
-using ResultCache = ServiceCache<ResultTraits>;
+using ResultCache = exec::VersionedCache<ResultTraits>;
 
 }  // namespace recomp::service
 

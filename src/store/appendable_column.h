@@ -171,10 +171,10 @@ class AppendableColumn {
   /// backlog chunk counts as sealed from here on), records `judged_under`
   /// (unset for a pinned re-seal) and bumps its recompression count.
   /// Returns whether the swap happened.
-  bool CompleteRecompress(uint64_t slot,
-                          const std::shared_ptr<const CompressedChunk>& expected,
-                          CompressedChunk replacement,
-                          const std::optional<AnalyzerOptions>& judged_under);
+  bool CompleteRecompress(
+      uint64_t slot, const std::shared_ptr<const CompressedChunk>& expected,
+      CompressedChunk replacement,
+      const std::optional<AnalyzerOptions>& judged_under);
 
   /// Ends a claimed attempt without swapping (no gain, or the attempt
   /// failed — the old envelope stays correct either way). `judged_under`,

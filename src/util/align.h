@@ -29,7 +29,8 @@ struct AlignedAllocator {
     }
     // Aligned size must be a multiple of the alignment for std::aligned_alloc.
     std::size_t bytes = n * sizeof(T);
-    bytes = (bytes + kColumnAlignment - 1) / kColumnAlignment * kColumnAlignment;
+    bytes =
+        (bytes + kColumnAlignment - 1) / kColumnAlignment * kColumnAlignment;
     void* p = std::aligned_alloc(kColumnAlignment, bytes);
     if (p == nullptr) throw std::bad_alloc();
     return static_cast<T*>(p);

@@ -32,9 +32,9 @@
   }                                                           \
   lhs = std::move(result_name).ValueUnsafe();
 
-#define RECOMP_ASSIGN_OR_RETURN(lhs, rexpr)                                          \
-  RECOMP_ASSIGN_OR_RETURN_IMPL(RECOMP_CONCAT(_recomp_result_, __COUNTER__), lhs, \
-                               rexpr)
+#define RECOMP_ASSIGN_OR_RETURN(lhs, rexpr)                                 \
+  RECOMP_ASSIGN_OR_RETURN_IMPL(RECOMP_CONCAT(_recomp_result_, __COUNTER__), \
+                               lhs, rexpr)
 
 /// Internal invariant check. Unlike Status propagation this is for programmer
 /// errors; it aborts in all build types (database kernels must not run past

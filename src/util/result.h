@@ -21,7 +21,7 @@ class [[nodiscard]] Result {
 
   /// Implicit construction from an error Status. Constructing from an OK
   /// status is a programmer error.
-  Result(Status status) : repr_(std::move(status)) {  // NOLINT(runtime/explicit)
+  Result(Status error) : repr_(std::move(error)) {  // NOLINT(runtime/explicit)
     RECOMP_DCHECK(!std::get<Status>(repr_).ok(),
                   "constructing Result<T> from OK Status");
   }

@@ -39,7 +39,8 @@ std::string Status::ToString() const {
 
 namespace internal {
 
-void DCheckFailed(const char* file, int line, const char* expr, const char* msg) {
+void DCheckFailed(const char* file, int line, const char* expr,
+                  const char* msg) {
   std::fprintf(stderr, "recomp DCHECK failure at %s:%d: (%s) %s\n", file, line,
                expr, msg);
   std::abort();

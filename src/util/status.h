@@ -44,8 +44,7 @@ class Status {
                    ? nullptr
                    : std::make_unique<State>(State{code, std::move(msg)})) {}
 
-  Status(const Status& other)
-      : state_(other.state_ ? std::make_unique<State>(*other.state_) : nullptr) {}
+  Status(const Status& other) { *this = other; }
   Status& operator=(const Status& other) {
     state_ = other.state_ ? std::make_unique<State>(*other.state_) : nullptr;
     return *this;

@@ -20,7 +20,8 @@ std::string StringFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, const std::string& sep) {
+std::string Join(const std::vector<std::string>& parts,
+                 const std::string& sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
     if (i > 0) out += sep;
@@ -37,7 +38,7 @@ std::string HumanBytes(uint64_t bytes) {
     v /= 1024.0;
     ++unit;
   }
-  if (unit == 0) return StringFormat("%llu B", static_cast<unsigned long long>(bytes));
+  if (unit == 0) return StringFormat("%.0f B", v);  // v == bytes < 1024.
   return StringFormat("%.2f %s", v, kUnits[unit]);
 }
 

@@ -183,7 +183,9 @@ void ExpectOperatorsAgree(const Column<uint32_t>& col,
   for (uint64_t i = 0; i < chunked.num_chunks(); ++i) {
     rows.push_back(chunked.chunk(i).zone.row_begin);
   }
-  for (int trial = 0; trial < 20; ++trial) rows.push_back(rng.Below(col.size()));
+  for (int trial = 0; trial < 20; ++trial) {
+    rows.push_back(rng.Below(col.size()));
+  }
   for (const uint64_t row : rows) {
     auto point = exec::GetAt(chunked, row);
     ASSERT_OK(point.status()) << row;
@@ -239,7 +241,8 @@ TEST(ChunkedTest, ChunkedStatsReportPerChunkStrategies) {
   ASSERT_OK(chunked.status());
   // A predicate overlapping every zone forces per-chunk dispatch.
   const uint64_t lo = 1;
-  auto result = exec::SelectCompressed(*chunked, RangePredicate{lo, lo + (1u << 25)});
+  auto result =
+      exec::SelectCompressed(*chunked, RangePredicate{lo, lo + (1u << 25)});
   ASSERT_OK(result.status());
   uint64_t strategy_total = 0;
   for (int s = 0; s < exec::kNumStrategies; ++s) {

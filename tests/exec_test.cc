@@ -65,7 +65,8 @@ TEST(SelectionTest, DictEmptyAndFullRanges) {
   auto none = exec::SelectCompressed(*compressed, RangePredicate{40, 50});
   ASSERT_OK(none.status());
   EXPECT_TRUE(none->positions.empty());
-  auto all = exec::SelectCompressed(*compressed, RangePredicate{0, ~uint64_t{0}});
+  auto all =
+      exec::SelectCompressed(*compressed, RangePredicate{0, ~uint64_t{0}});
   ASSERT_OK(all.status());
   EXPECT_EQ(all->positions.size(), 4u);
 }

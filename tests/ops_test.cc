@@ -53,7 +53,9 @@ TEST(PrefixSumTest, InverseOfAdjacentDifference) {
   // PrefixSum(Delta(x)) == x, the identity behind the paper's DELTA scheme.
   Rng rng(4);
   Column<uint32_t> col;
-  for (int i = 0; i < 500; ++i) col.push_back(static_cast<uint32_t>(rng.Next()));
+  for (int i = 0; i < 500; ++i) {
+    col.push_back(static_cast<uint32_t>(rng.Next()));
+  }
   Column<uint32_t> deltas(col.size());
   uint32_t prev = 0;
   for (size_t i = 0; i < col.size(); ++i) {

@@ -50,7 +50,8 @@ void ExpectSelectionsIdentical(const exec::ChunkedSelectionResult& a,
   }
   ASSERT_EQ(a.stats.per_chunk.size(), b.stats.per_chunk.size());
   for (size_t i = 0; i < a.stats.per_chunk.size(); ++i) {
-    EXPECT_EQ(a.stats.per_chunk[i].chunk_index, b.stats.per_chunk[i].chunk_index);
+    EXPECT_EQ(a.stats.per_chunk[i].chunk_index,
+              b.stats.per_chunk[i].chunk_index);
     EXPECT_EQ(static_cast<int>(a.stats.per_chunk[i].stats.strategy),
               static_cast<int>(b.stats.per_chunk[i].stats.strategy));
     EXPECT_EQ(a.stats.per_chunk[i].stats.values_decoded,
@@ -71,9 +72,9 @@ void ExpectAggregatesIdentical(const exec::ChunkedAggregateResult& a,
 
 /// Runs every chunked operator sequentially and under `ctx`, asserting
 /// bit-identical outcomes.
-void ExpectParallelAgreesWithSequential(const ChunkedCompressedColumn& chunked,
-                                        const ExecContext& ctx,
-                                        const std::vector<RangePredicate>& preds) {
+void ExpectParallelAgreesWithSequential(
+    const ChunkedCompressedColumn& chunked, const ExecContext& ctx,
+    const std::vector<RangePredicate>& preds) {
   for (const RangePredicate& pred : preds) {
     auto seq = exec::SelectCompressed(chunked, pred);
     auto par = exec::SelectCompressed(chunked, pred, ctx);

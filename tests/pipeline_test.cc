@@ -47,7 +47,8 @@ TEST(PipelineTest, DescriptorStringSurvivesCompression) {
   // Parse -> compress -> envelope descriptor -> string: a fixed point after
   // parameter resolution.
   auto desc = SchemeDescriptor::Parse(
-      "RPE{positions:DELTA{deltas:NS},values:DELTA{deltas:ZIGZAG{recoded:NS}}}");
+      "RPE{positions:DELTA{deltas:NS},"
+      "values:DELTA{deltas:ZIGZAG{recoded:NS}}}");
   ASSERT_OK(desc.status());
   Column<uint32_t> col = RunsColumn(5000, 0.05, 82);
   auto compressed = Compress(AnyColumn(col), *desc);

@@ -33,7 +33,8 @@ void ExpectPointAccess(const Column<uint32_t>& col,
 }
 
 TEST(PointAccessTest, NsDirect) {
-  ExpectPointAccess(gen::Uniform(10000, 1 << 17, 1), Ns(), exec::Strategy::kNsDirect);
+  ExpectPointAccess(gen::Uniform(10000, 1 << 17, 1), Ns(),
+                    exec::Strategy::kNsDirect);
 }
 
 TEST(PointAccessTest, ForDirect) {
@@ -47,7 +48,8 @@ TEST(PointAccessTest, RpeBinarySearch) {
 }
 
 TEST(PointAccessTest, DictProbePlainCodes) {
-  ExpectPointAccess(gen::ZipfValues(10000, 64, 1.1, 4), Dict(), exec::Strategy::kDictProbe);
+  ExpectPointAccess(gen::ZipfValues(10000, 64, 1.1, 4), Dict(),
+                    exec::Strategy::kDictProbe);
 }
 
 TEST(PointAccessTest, DictProbePackedCodes) {

@@ -183,7 +183,9 @@ TEST(RecompressionConcurrencyTest, BackgroundMaintenanceRacesIngestAndScans) {
 
   const Column<uint32_t> rows = gen::SortedRuns(kRows, 25.0, 3, 20260727);
   std::vector<uint64_t> prefix_sum(kRows + 1, 0);
-  for (uint64_t i = 0; i < kRows; ++i) prefix_sum[i + 1] = prefix_sum[i] + rows[i];
+  for (uint64_t i = 0; i < kRows; ++i) {
+    prefix_sum[i + 1] = prefix_sum[i] + rows[i];
+  }
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> snapshots_taken{0};

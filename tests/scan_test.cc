@@ -35,6 +35,7 @@ using exec::RangePredicate;
 using exec::Scan;
 using exec::ScanResult;
 using exec::ScanSpec;
+using testutil::OracleSelect;
 
 constexpr uint64_t kChunk = 1024;
 
@@ -45,26 +46,6 @@ Column<uint32_t> MixedShapes(uint64_t part, uint64_t seed) {
   out.insert(out.end(), noise.begin(), noise.end());
   for (uint64_t i = 0; i < part; ++i) {
     out.push_back((uint32_t{1} << 25) + static_cast<uint32_t>(3 * i));
-  }
-  return out;
-}
-
-/// The decompress-everything reference: rows passing every predicate.
-Column<uint32_t> OracleSelect(
-    const std::vector<const Column<uint32_t>*>& columns,
-    const std::vector<std::pair<size_t, RangePredicate>>& filters,
-    uint64_t rows) {
-  Column<uint32_t> out;
-  for (uint64_t i = 0; i < rows; ++i) {
-    bool pass = true;
-    for (const auto& [col, pred] : filters) {
-      const uint64_t v = (*columns[col])[i];
-      if (v < pred.lo || v > pred.hi) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) out.push_back(static_cast<uint32_t>(i));
   }
   return out;
 }
@@ -107,7 +88,8 @@ void ExpectScansIdentical(const ScanResult& a, const ScanResult& b) {
   for (size_t g = 0; g < a.aggregates.size(); ++g) {
     EXPECT_EQ(a.aggregates[g].value(), b.aggregates[g].value());
     EXPECT_EQ(a.aggregates[g].rows, b.aggregates[g].rows);
-    EXPECT_EQ(a.aggregates[g].agg.chunks_pruned, b.aggregates[g].agg.chunks_pruned);
+    EXPECT_EQ(a.aggregates[g].agg.chunks_pruned,
+              b.aggregates[g].agg.chunks_pruned);
     EXPECT_EQ(a.aggregates[g].agg.chunks_executed,
               b.aggregates[g].agg.chunks_executed);
   }
@@ -123,7 +105,8 @@ TEST(ScanTest, EmptySpecRejected) {
   ASSERT_OK(chunked.status());
   const auto result = Scan(*chunked, ScanSpec{});
   EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().code() == StatusCode::kInvalidArgument) << result.status().ToString();
+  EXPECT_TRUE(result.status().code() == StatusCode::kInvalidArgument)
+      << result.status().ToString();
 }
 
 TEST(ScanTest, SingleColumnScanRejectsNamedColumns) {
@@ -134,7 +117,8 @@ TEST(ScanTest, SingleColumnScanRejectsNamedColumns) {
   spec.Filter("amount", RangePredicate{});
   const auto result = Scan(*chunked, spec);
   EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().code() == StatusCode::kKeyError) << result.status().ToString();
+  EXPECT_TRUE(result.status().code() == StatusCode::kKeyError)
+      << result.status().ToString();
 }
 
 TEST(ScanTest, UnknownSnapshotColumnRejected) {
@@ -148,7 +132,8 @@ TEST(ScanTest, UnknownSnapshotColumnRejected) {
                         ScanSpec().Aggregate("nope", AggregateOp::kSum)}) {
     const auto result = Scan(*snap, spec);
     EXPECT_FALSE(result.ok());
-    EXPECT_TRUE(result.status().code() == StatusCode::kKeyError) << result.status().ToString();
+    EXPECT_TRUE(result.status().code() == StatusCode::kKeyError)
+        << result.status().ToString();
   }
 }
 
@@ -380,7 +365,8 @@ TEST(ScanTest, LimitTruncatesSelectionButCountsAllMatches) {
 }
 
 TEST(ScanTest, ProjectionKeepsNativeType) {
-  const Column<uint64_t> col = gen::Uniform64(2 * kChunk, uint64_t{1} << 40, 29);
+  const Column<uint64_t> col =
+      gen::Uniform64(2 * kChunk, uint64_t{1} << 40, 29);
   auto chunked = CompressChunkedAuto(AnyColumn(col), {kChunk});
   ASSERT_OK(chunked.status());
   ScanSpec spec;
@@ -813,8 +799,8 @@ TEST(ScanTest, ZeroFilterPureProjectionIsTheFullColumn) {
   auto live = Scan(*snap, named);
   ASSERT_OK(live.status());
   EXPECT_TRUE(live->projections[0].values == AnyColumn(col));
-  EXPECT_GT(live->projections[0]
-                .gather.strategy_rows[static_cast<int>(exec::Strategy::kPlainScan)],
+  EXPECT_GT(live->projections[0].gather.strategy_rows[static_cast<int>(
+                exec::Strategy::kPlainScan)],
             0u);
 }
 

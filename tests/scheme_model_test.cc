@@ -23,9 +23,9 @@ Column<uint32_t> StepColumn(uint64_t n, uint64_t ell, uint32_t noise_bound,
   uint32_t level = 1000;
   for (uint64_t i = 0; i < n; ++i) {
     if (i % ell == 0) level = 1000 + static_cast<uint32_t>(rng.Below(1u << 20));
-    col.push_back(level + (noise_bound == 0
-                               ? 0
-                               : static_cast<uint32_t>(rng.Below(noise_bound))));
+    const uint32_t noise =
+        noise_bound == 0 ? 0 : static_cast<uint32_t>(rng.Below(noise_bound));
+    col.push_back(level + noise);
   }
   return col;
 }

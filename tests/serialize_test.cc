@@ -335,7 +335,8 @@ TEST(SerializeTest, V2RoundTripsMixedOriginalRecompressedAndStoredPlain) {
   store::IngestOptions options;
   options.chunk_rows = kChunkRows;
   options.descriptor = Ns();
-  const Column<uint32_t> rows = gen::SortedRuns(4 * kChunkRows + 200, 25.0, 3, 43);
+  const Column<uint32_t> rows =
+      gen::SortedRuns(4 * kChunkRows + 200, 25.0, 3, 43);
 
   ThreadPool pool(1);
   store::AppendableColumn column(TypeId::kUInt32, options,

@@ -1,4 +1,4 @@
-// ServiceCache (service/service_cache.h), the one cache behind decoded
+// VersionedCache (exec/versioned_cache.h), the one cache behind decoded
 // chunks, selections and results: one computation per key with waiters
 // sharing its outcome, an entry in flight never evicted, the oldest settled
 // entries shed first, a failed computation dropped when the batch ends, and
@@ -12,7 +12,7 @@
 #include <functional>
 #include <thread>
 
-#include "service/service_cache.h"
+#include "exec/versioned_cache.h"
 #include "util/status.h"
 
 namespace recomp {
@@ -24,9 +24,9 @@ struct IntTraits {
   using Hash = std::hash<uint64_t>;
   using Value = uint64_t;
   static uint64_t Cost(const uint64_t& value) { return value; }
-  static service::CacheCounters Counters() { return {}; }
+  static exec::CacheCounters Counters() { return {}; }
 };
-using IntCache = service::ServiceCache<IntTraits>;
+using IntCache = exec::VersionedCache<IntTraits>;
 
 /// A computation returning `value`.
 auto Returns(uint64_t value) {

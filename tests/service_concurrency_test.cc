@@ -1,13 +1,16 @@
 // QueryService under concurrency: clients racing submits against live
 // ingest (AppendBatch/Seal/MaintenanceTick), and a fuzz sweep asserting
-// batched execution is bit-identical to solo exec::Scan across pool sizes
-// and batching windows. The CI thread-sanitizer job runs the full suite, so
-// every interleaving exercised here must be TSan-clean.
+// batched execution is bit-identical to solo exec::Scan and to a
+// plain-array oracle across pool sizes and batching windows. The CI
+// thread-sanitizer job runs the full suite, so every interleaving exercised
+// here must be TSan-clean.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -172,6 +175,21 @@ ScanSpec FuzzSpec(Rng& rng) {
   return spec;
 }
 
+/// Every answer must equal solo exec::Scan's and the plain-array oracle's
+/// (testutil::OracleScan) over the table's plain columns.
+void ExpectMatchesSoloAndOracle(
+    const Result<exec::ScanResult>& batched, const store::TableSnapshot& snap,
+    const std::map<std::string, const Column<uint32_t>*>& plain,
+    const ScanSpec& spec, size_t q) {
+  ASSERT_OK(batched.status()) << "query " << q;
+  auto solo = exec::Scan(snap, spec);
+  ASSERT_OK(solo.status()) << "query " << q;
+  EXPECT_TRUE(ScanOutputsEqual(*batched, *solo)) << "query " << q;
+  EXPECT_TRUE(ScanOutputsEqual(
+      *batched, testutil::OracleScan(plain, spec, snap.rows())))
+      << "query " << q << " differs from the oracle";
+}
+
 TEST(ServiceConcurrencyTest, FuzzBatchedMatchesSoloAcrossPoolsAndWindows) {
   constexpr uint64_t kRows = 8 * kChunk;
   ThreadPool build_pool(2);
@@ -179,10 +197,13 @@ TEST(ServiceConcurrencyTest, FuzzBatchedMatchesSoloAcrossPoolsAndWindows) {
                               {"v", TypeId::kUInt32, {kChunk}, ""}},
                              ExecContext{&build_pool, 1});
   ASSERT_OK(table.status());
-  ASSERT_OK(table->AppendBatch(
-      {AnyColumn(testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1301)),
-       AnyColumn(
-           testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1302))}));
+  const Column<uint32_t> k =
+      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1301);
+  const Column<uint32_t> v =
+      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1302);
+  const std::map<std::string, const Column<uint32_t>*> plain{{"k", &k},
+                                                             {"v", &v}};
+  ASSERT_OK(table->AppendBatch({AnyColumn(k), AnyColumn(v)}));
   ASSERT_OK(table->Seal());
   ASSERT_OK(table->Flush());
   auto snap = table->Snapshot();
@@ -196,7 +217,8 @@ TEST(ServiceConcurrencyTest, FuzzBatchedMatchesSoloAcrossPoolsAndWindows) {
       pool = std::make_unique<ThreadPool>(threads);
       ctx = ExecContext{pool.get(), 1};
     }
-    for (const uint64_t window_us : {uint64_t{0}, uint64_t{200}, uint64_t{2000}}) {
+    for (const uint64_t window_us :
+         {uint64_t{0}, uint64_t{200}, uint64_t{2000}}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " window_us=" + std::to_string(window_us));
       ServiceOptions options;
@@ -218,11 +240,8 @@ TEST(ServiceConcurrencyTest, FuzzBatchedMatchesSoloAcrossPoolsAndWindows) {
         futures.push_back(std::move(*future));
       }
       for (size_t q = 0; q < futures.size(); ++q) {
-        Result<exec::ScanResult> batched = futures[q].get();
-        ASSERT_OK(batched.status()) << "query " << q;
-        auto solo = exec::Scan(*snap, specs[q]);
-        ASSERT_OK(solo.status()) << "query " << q;
-        EXPECT_TRUE(ScanOutputsEqual(*batched, *solo)) << "query " << q;
+        ExpectMatchesSoloAndOracle(futures[q].get(), *snap, plain, specs[q],
+                                   q);
       }
       svc.Stop();
     }
@@ -236,10 +255,13 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
                               {"v", TypeId::kUInt32, {kChunk}, ""}},
                              ExecContext{&build_pool, 1});
   ASSERT_OK(table.status());
-  ASSERT_OK(table->AppendBatch(
-      {AnyColumn(testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1401)),
-       AnyColumn(
-           testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1402))}));
+  const Column<uint32_t> k =
+      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1401);
+  const Column<uint32_t> v =
+      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1402);
+  const std::map<std::string, const Column<uint32_t>*> plain{{"k", &k},
+                                                             {"v", &v}};
+  ASSERT_OK(table->AppendBatch({AnyColumn(k), AnyColumn(v)}));
   ASSERT_OK(table->Seal());
   ASSERT_OK(table->Flush());
   auto snap = table->Snapshot();
@@ -326,11 +348,8 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
           futures.push_back(std::move(*future));
         }
         for (size_t q = 0; q < futures.size(); ++q) {
-          Result<exec::ScanResult> batched = futures[q].get();
-          ASSERT_OK(batched.status()) << "query " << q;
-          auto solo = exec::Scan(*snap, specs[q]);
-          ASSERT_OK(solo.status()) << "query " << q;
-          EXPECT_TRUE(ScanOutputsEqual(*batched, *solo)) << "query " << q;
+          ExpectMatchesSoloAndOracle(futures[q].get(), *snap, plain, specs[q],
+                                     q);
         }
       };
       run_pass("cold");
@@ -356,7 +375,8 @@ TEST(ServiceConcurrencyTest, DecodedCacheEvictionRacesDecodesSafely) {
                              ExecContext{&build_pool, 1});
   ASSERT_OK(table.status());
   ASSERT_OK(table->AppendBatch(
-      {AnyColumn(testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1501))}));
+      {AnyColumn(testutil::UniformColumn<uint32_t>(kRows, kValueBound,
+                                                   1501))}));
   ASSERT_OK(table->Seal());
   ASSERT_OK(table->Flush());
   auto snap = table->Snapshot();

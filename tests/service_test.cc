@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "service/query_service.h"
 #include "service/result_cache.h"
-#include "service/selection_cache.h"
 #include "service/shared_scan.h"
 #include "store/table.h"
 #include "test_util.h"
@@ -36,9 +35,9 @@ using exec::AggregateOp;
 using exec::RangePredicate;
 using exec::ScanOutputsEqual;
 using exec::ScanSpec;
+using exec::SelectionKey;
+using exec::SelectionVectorCache;
 using service::QueryService;
-using service::SelectionKey;
-using service::SelectionVectorCache;
 using service::ServiceOptions;
 using store::Table;
 
@@ -78,13 +77,38 @@ ScanSpec RandomSpec(Rng& rng) {
       spec.Filter("k", {lo, hi}).Aggregate("v", AggregateOp::kSum);
       break;
     case 3:
-      spec.Aggregate("v", AggregateOp::kMax).Aggregate("k", AggregateOp::kCount);
+      spec.Aggregate("v", AggregateOp::kMax)
+          .Aggregate("k", AggregateOp::kCount);
       break;
     default:
       spec.Filter("k", {lo, hi}).Project({"v"}).Limit(1 + rng.Below(500));
       break;
   }
   return spec;
+}
+
+/// Options under which every window holds exactly `queries` queries: the
+/// window outlasts any test, and the batch size cuts it.
+ServiceOptions WindowOf(uint64_t queries) {
+  ServiceOptions options;
+  options.batch_window = std::chrono::microseconds(600 * 1000 * 1000);
+  options.max_batch_queries = queries;
+  return options;
+}
+
+/// Submits `specs` for one client and returns the answers, in order.
+std::vector<Result<exec::ScanResult>> RunAll(
+    QueryService& svc, const std::vector<ScanSpec>& specs) {
+  const uint64_t client = svc.RegisterClient();
+  std::vector<QueryService::ResultFuture> futures;
+  for (const ScanSpec& spec : specs) {
+    auto future = svc.Submit(client, spec);
+    EXPECT_OK(future.status());
+    if (future.ok()) futures.push_back(std::move(*future));
+  }
+  std::vector<Result<exec::ScanResult>> results;
+  for (auto& future : futures) results.push_back(future.get());
+  return results;
 }
 
 TEST(ServiceTest, BatchedResultsMatchSoloScan) {
@@ -259,7 +283,7 @@ TEST(ServiceTest, PerQueryErrorsFailOnlyTheirSlotAndNameTheColumn) {
 
 TEST(ServiceTest, SelectionCacheHitsAcrossQueriesAndInvalidatesOnVersion) {
   SelectionVectorCache cache(/*capacity=*/8);
-  service::CachedSelection entry;
+  exec::CachedSelection entry;
   entry.selection.positions = {1, 5, 9};
   entry.values = Column<uint32_t>{11, 15, 19};
   const SelectionKey key{0, 2, 10, 20};
@@ -382,10 +406,12 @@ TEST(ServiceTest, ZeroSelectionCacheCapacityBuildsNoCache) {
   ASSERT_OK(table.status());
   auto snap = table->Snapshot();
   ASSERT_OK(snap.status());
-  ServiceOptions options;
+  // Windows of two identical queries. Without result caching (and so
+  // without in-window dedup) both execute and share every chunk: each
+  // window computes a chunk's selection once for both, and only a retained
+  // selection cache could carry it into the next window.
+  ServiceOptions options = WindowOf(2);
   options.selection_cache_capacity = 0;
-  // Without result caching (and so without in-batch dedup) every repeat
-  // executes: only a selection cache could recycle its chunk selections.
   options.result_cache_bytes = 0;
   auto service = QueryService::Create(&*table, options);
   ASSERT_OK(service.status());
@@ -395,16 +421,14 @@ TEST(ServiceTest, ZeroSelectionCacheCapacityBuildsNoCache) {
   spec.Filter("k", {1000, kValueBound / 2}).Project({"v"});
   auto solo = exec::Scan(*snap, spec);
   ASSERT_OK(solo.status());
-  const uint64_t client = svc.RegisterClient();
-  // One at a time: each repeat lands in a later window than the first.
-  for (int q = 0; q < 6; ++q) {
-    auto future = svc.Submit(client, spec);
-    ASSERT_OK(future.status());
-    Result<exec::ScanResult> result = future->get();
-    ASSERT_OK(result.status()) << "query " << q;
-    EXPECT_TRUE(ScanOutputsEqual(*result, *solo)) << "query " << q;
+  for (int window = 0; window < 3; ++window) {
+    for (const auto& result : RunAll(svc, {spec, spec})) {
+      ASSERT_OK(result.status()) << "window " << window;
+      EXPECT_TRUE(ScanOutputsEqual(*result, *solo)) << "window " << window;
+    }
   }
   const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.batches, 3u);
   EXPECT_EQ(stats.queries_executed, 6u);
   EXPECT_GT(stats.chunk_evaluations, 0u);
   EXPECT_EQ(stats.selection_cache_hits, 0u);
@@ -414,17 +438,20 @@ TEST(ServiceTest, ServiceMetricsLandInTheRegistry) {
   const obs::MetricsSnapshot before = Table::MetricsSnapshot();
   auto table = MakeTable(4 * kChunk, 910);
   ASSERT_OK(table.status());
-  auto service = QueryService::Create(&*table);
+  auto service = QueryService::Create(&*table, WindowOf(2));
   ASSERT_OK(service.status());
   QueryService& svc = **service;
 
-  const uint64_t client = svc.RegisterClient();
-  ScanSpec spec;
-  // Mid-range so no chunk is zone-contained: selection must decode.
-  spec.Filter("k", {1000, kValueBound / 2});
-  auto future = svc.Submit(client, spec);
-  ASSERT_OK(future.status());
-  ASSERT_OK(future->get().status());
+  // Two distinct specs in one window over the same mid-range band: no
+  // chunk is zone-contained, so both evaluate every chunk of "k", which
+  // makes each chunk shared and decoded once.
+  ScanSpec filter;
+  filter.Filter("k", {1000, kValueBound / 2});
+  ScanSpec project = filter;
+  project.Project({"v"});
+  for (const auto& result : RunAll(svc, {filter, project})) {
+    ASSERT_OK(result.status());
+  }
   svc.Flush();
 
   const obs::MetricsSnapshot after = Table::MetricsSnapshot();
@@ -432,11 +459,160 @@ TEST(ServiceTest, ServiceMetricsLandInTheRegistry) {
             before.counter("service.queries.admitted"));
   EXPECT_GT(after.counter("service.queries.succeeded"),
             before.counter("service.queries.succeeded"));
-  EXPECT_GT(after.counter("service.batches"), before.counter("service.batches"));
+  EXPECT_GT(after.counter("service.batches"),
+            before.counter("service.batches"));
   EXPECT_GT(after.counter("service.chunk_evaluations"),
             before.counter("service.chunk_evaluations"));
   EXPECT_GT(after.counter("service.chunks_decoded"),
             before.counter("service.chunks_decoded"));
+}
+
+/// Per filter, the same zone-map and strategy counters as solo exec::Scan;
+/// per gathered column, the same point-access paths.
+void ExpectSoloExecution(const exec::ScanResult& got,
+                         const exec::ScanResult& solo) {
+  ASSERT_EQ(got.filters.size(), solo.filters.size());
+  for (size_t f = 0; f < got.filters.size(); ++f) {
+    const exec::ChunkedSelectionStats& a = got.filters[f].stats;
+    const exec::ChunkedSelectionStats& b = solo.filters[f].stats;
+    EXPECT_EQ(a.chunks_pruned, b.chunks_pruned);
+    EXPECT_EQ(a.chunks_full, b.chunks_full);
+    EXPECT_EQ(a.chunks_executed, b.chunks_executed);
+    EXPECT_EQ(a.values_decoded, b.values_decoded);
+    for (int s = 0; s < exec::kNumStrategies; ++s) {
+      EXPECT_EQ(a.strategy_chunks[s], b.strategy_chunks[s])
+          << exec::StrategyName(static_cast<exec::Strategy>(s));
+    }
+  }
+  ASSERT_EQ(got.projections.size(), solo.projections.size());
+  for (size_t p = 0; p < got.projections.size(); ++p) {
+    const exec::GatherStats& a = got.projections[p].gather;
+    const exec::GatherStats& b = solo.projections[p].gather;
+    EXPECT_EQ(a.chunks_touched, b.chunks_touched);
+    for (int s = 0; s < exec::kNumStrategies; ++s) {
+      EXPECT_EQ(a.strategy_rows[s], b.strategy_rows[s])
+          << exec::StrategyName(static_cast<exec::Strategy>(s));
+    }
+  }
+}
+
+TEST(ServiceTest, QueriesOnDisjointChunksRunTheirPushdownStrategies) {
+  // "k" climbs in runs of 16 rows (64 values per chunk), so each band
+  // touches only its own chunks, where its pushdown filters runs (rle-runs)
+  // and "v" gathers by point access (ns-direct), never decompress-scan.
+  Column<uint32_t> k(8 * kChunk);
+  for (uint32_t i = 0; i < k.size(); ++i) k[i] = i / 16;
+  auto table = Table::Create({{"k", TypeId::kUInt32, {kChunk}, ""},
+                              {"v", TypeId::kUInt32, {kChunk}, ""}});
+  ASSERT_OK(table.status());
+  ASSERT_OK(table->AppendBatch(
+      {AnyColumn(k), AnyColumn(testutil::UniformColumn<uint32_t>(
+                         k.size(), kValueBound, 918))}));
+  ASSERT_OK(table->Flush());
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  auto service = QueryService::Create(&*table, WindowOf(2));
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  ScanSpec early;
+  early.Filter("k", {10, 90}).Project({"v"});
+  ScanSpec late;
+  late.Filter("k", {260, 330}).Project({"v"}).Aggregate("v", AggregateOp::kSum);
+  const std::vector<ScanSpec> specs{early, late};
+  const auto results = RunAll(svc, specs);
+  for (size_t q = 0; q < specs.size(); ++q) {
+    SCOPED_TRACE(testing::Message() << "query " << q);
+    ASSERT_OK(results[q].status());
+    auto solo = exec::Scan(*snap, specs[q]);
+    ASSERT_OK(solo.status());
+    EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo));
+    ExpectSoloExecution(*results[q], *solo);
+    const int decompress = static_cast<int>(exec::Strategy::kDecompressScan);
+    EXPECT_EQ(results[q]->filters[0].stats.strategy_chunks[decompress], 0u);
+    EXPECT_EQ(results[q]->projections[0].gather.strategy_rows[decompress], 0u);
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.queries_executed, 2u);
+  EXPECT_EQ(stats.chunks_decoded, 0u);
+  EXPECT_EQ(stats.chunk_evaluations, 0u);
+}
+
+TEST(ServiceTest, QueriesOnTheSameChunksDecodeEachOnceAndSubsume) {
+  auto table = MakeTable(8 * kChunk, 919);
+  ASSERT_OK(table.status());
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  auto service = QueryService::Create(&*table, WindowOf(2));
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  // Mid-range bands on uniform values: neither prunes or contains a chunk,
+  // so both queries read every chunk of "k" and gather "v" from every
+  // chunk. The narrow band sits strictly inside the wide one.
+  ScanSpec wide;
+  wide.Filter("k", {1000, kValueBound / 2}).Project({"v"});
+  ScanSpec narrow;
+  narrow.Filter("k", {2000, kValueBound / 4}).Project({"v"});
+  const std::vector<ScanSpec> specs{wide, narrow};
+  const auto results = RunAll(svc, specs);
+  for (size_t q = 0; q < specs.size(); ++q) {
+    ASSERT_OK(results[q].status()) << "query " << q;
+    auto solo = exec::Scan(*snap, specs[q]);
+    ASSERT_OK(solo.status());
+    EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo)) << "query " << q;
+  }
+  const uint64_t chunks = snap->column(0).chunked().num_chunks();
+  ASSERT_EQ(chunks, 8u);
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  // Each touched chunk of "k" and of "v" decoded exactly once.
+  EXPECT_EQ(stats.chunks_decoded, 2 * chunks);
+  // Both bands evaluated every chunk; the narrow one re-filtered the wide
+  // one's selection instead of scanning.
+  EXPECT_EQ(stats.chunk_evaluations, 2 * chunks);
+  EXPECT_EQ(stats.subsumed_evaluations, chunks);
+}
+
+TEST(ServiceTest, DeadlinePastTheClockRangeMeansNoDeadline) {
+  auto table = MakeTable(4 * kChunk, 920);
+  ASSERT_OK(table.status());
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  auto service = QueryService::Create(&*table);
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  ScanSpec spec;
+  spec.Filter("k", {1000, kValueBound / 2}).Aggregate("v", AggregateOp::kSum);
+  auto future = svc.Submit(svc.RegisterClient(), spec,
+                           std::chrono::nanoseconds::max());
+  ASSERT_OK(future.status());
+  Result<exec::ScanResult> result = future->get();
+  ASSERT_OK(result.status());
+  auto solo = exec::Scan(*snap, spec);
+  ASSERT_OK(solo.status());
+  EXPECT_TRUE(ScanOutputsEqual(*result, *solo));
+}
+
+TEST(ServiceTest, WindowPastTheClockRangeStillDispatches) {
+  auto table = MakeTable(kChunk, 921);
+  ASSERT_OK(table.status());
+  ServiceOptions options;
+  options.batch_window = std::chrono::microseconds::max();
+  options.max_batch_queries = 1;
+  auto service = QueryService::Create(&*table, options);
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  ScanSpec spec;
+  spec.Aggregate("v", AggregateOp::kCount);
+  auto future = svc.Submit(svc.RegisterClient(), spec);
+  ASSERT_OK(future.status());
+  Result<exec::ScanResult> result = future->get();
+  ASSERT_OK(result.status());
+  EXPECT_EQ(result->aggregates[0].value(), kChunk);
 }
 
 TEST(ServiceTest, StopDrainsQueuedQueriesBeforeJoining) {

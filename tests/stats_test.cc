@@ -64,7 +64,8 @@ TEST(StatsTest, DistinctCapped) {
 }
 
 TEST(StatsTest, StepResidualWidthExactSegments) {
-  // Two segments of 4: [10..13] spread 3 (2 bits), [100..108] spread 8 (4 bits).
+  // Two segments of 4: [10..13] spread 3 (2 bits), [100..108] spread 8
+  // (4 bits).
   Column<uint32_t> col{10, 11, 12, 13, 100, 104, 101, 108};
   EXPECT_EQ(StepResidualWidth(col, 4), 4);
   EXPECT_EQ(StepResidualWidth(col, 8), 7);  // global spread 98 -> 7 bits

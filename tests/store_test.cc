@@ -338,7 +338,8 @@ TEST(StoreTest, TableRowAlignedAppendsAndSnapshot) {
 
   Column<uint32_t> orders = testutil::RunsColumn(900, 0.1, 71);
   Column<uint32_t> amounts = testutil::UniformColumn<uint32_t>(900, 50000, 72);
-  Column<uint64_t> wide = testutil::UniformColumn<uint64_t>(900, 1ull << 40, 73);
+  Column<uint64_t> wide =
+      testutil::UniformColumn<uint64_t>(900, 1ull << 40, 73);
   ASSERT_OK(table->AppendBatch(
       {AnyColumn(orders), AnyColumn(amounts), AnyColumn(wide)}));
   for (int i = 0; i < 10; ++i) {
@@ -421,9 +422,10 @@ TEST(StoreTest, TableCreateAndAppendValidation) {
   EXPECT_FALSE(table->AppendRow({1}).ok());
   EXPECT_FALSE(table->AppendRow({300, 1}).ok());
   EXPECT_EQ(table->num_rows(), 0u);
-  EXPECT_FALSE(
-      table->AppendBatch({AnyColumn(Column<uint8_t>{1}), AnyColumn(Column<uint32_t>{})})
-          .ok());
+  EXPECT_FALSE(table
+                   ->AppendBatch({AnyColumn(Column<uint8_t>{1}),
+                                  AnyColumn(Column<uint32_t>{})})
+                   .ok());
   EXPECT_EQ(table->num_rows(), 0u);
   ASSERT_OK(table->AppendRow({2, 9}));
   EXPECT_EQ(table->num_rows(), 1u);

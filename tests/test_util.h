@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "columnar/any_column.h"
 #include "core/pipeline.h"
+#include "exec/scan.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -62,6 +68,85 @@ Column<T> UniformColumn(uint64_t n, uint64_t bound, uint64_t seed) {
     col.push_back(static_cast<T>(rng.Below(bound)));
   }
   return col;
+}
+
+/// The plain-array reference for scans: the rows passing every filter, a
+/// filter being (index into `columns`, predicate).
+inline Column<uint32_t> OracleSelect(
+    const std::vector<const Column<uint32_t>*>& columns,
+    const std::vector<std::pair<size_t, exec::RangePredicate>>& filters,
+    uint64_t rows) {
+  Column<uint32_t> out;
+  for (uint64_t i = 0; i < rows; ++i) {
+    bool pass = true;
+    for (const auto& [col, pred] : filters) {
+      if (!pred.Matches((*columns[col])[i])) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) out.push_back(static_cast<uint32_t>(i));
+  }
+  return out;
+}
+
+/// The plain-array reference for exec::Scan over u32 columns, looked up by
+/// the spec's names: filters row by row, gathers and folds in plain C++,
+/// and fills exactly the outputs ScanOutputsEqual compares.
+inline exec::ScanResult OracleScan(
+    const std::map<std::string, const Column<uint32_t>*>& columns,
+    const exec::ScanSpec& spec, uint64_t rows) {
+  exec::ScanResult out;
+  out.rows_scanned = rows;
+  Column<uint32_t> selected;  // The rows projections and aggregates see.
+  if (spec.filters().empty()) {
+    out.rows_matched = rows;
+    for (uint64_t i = 0; i < std::min(rows, spec.limit()); ++i) {
+      selected.push_back(static_cast<uint32_t>(i));
+    }
+  } else {
+    std::vector<const Column<uint32_t>*> filtered;
+    std::vector<std::pair<size_t, exec::RangePredicate>> filters;
+    for (const exec::ScanSpec::FilterSpec& f : spec.filters()) {
+      filters.push_back({filtered.size(), f.predicate});
+      filtered.push_back(columns.at(f.column));
+    }
+    selected = OracleSelect(filtered, filters, rows);
+    out.rows_matched = selected.size();
+    if (selected.size() > spec.limit()) selected.resize(spec.limit());
+    out.positions = selected;
+  }
+  for (const std::string& name : spec.projections()) {
+    const Column<uint32_t>& column = *columns.at(name);
+    Column<uint32_t> values;
+    for (const uint32_t row : selected) values.push_back(column[row]);
+    out.projections.push_back({name, AnyColumn(std::move(values)), {}});
+  }
+  for (const exec::ScanSpec::AggregateSpec& a : spec.aggregates()) {
+    exec::ScanAggregate agg;
+    agg.column = a.column;
+    agg.op = a.op;
+    agg.rows = selected.size();
+    for (size_t i = 0; i < selected.size(); ++i) {
+      const uint64_t v = (*columns.at(a.column))[selected[i]];
+      switch (a.op) {
+        case exec::AggregateOp::kSum:
+          agg.agg.value += v;
+          break;
+        case exec::AggregateOp::kMin:
+          agg.agg.value = i == 0 ? v : std::min(agg.agg.value, v);
+          break;
+        case exec::AggregateOp::kMax:
+          agg.agg.value = std::max(agg.agg.value, v);
+          break;
+        case exec::AggregateOp::kCount:
+          ++agg.agg.value;
+          break;
+      }
+    }
+    out.aggregates.push_back(std::move(agg));
+  }
+  return out;
 }
 
 /// Occupies `workers` workers of `pool` until Release() is called (idempotent,
