@@ -12,7 +12,8 @@
 // qty, fold SUM) vs the decompress-then-scan baseline; (b) thread sweep at
 // fixed selectivity over the chunk-parallel scan. Timing series: the scan,
 // the baseline, and a snapshot+scan round trip on a live (unflushed) table.
-// Every timed configuration is first verified against the plain oracle.
+// Every timed scan is checked against the plain oracle — match count, SUM
+// and the projected qty column — and a mismatch exits 1.
 
 #include <algorithm>
 #include <chrono>
@@ -95,13 +96,16 @@ ScanSpec QuerySpec(const RangePredicate& date_pred) {
 struct OracleResult {
   uint64_t matches = 0;
   uint64_t qty_sum = 0;
+  Column<uint32_t> qty;  ///< The matched rows' qty, when asked for.
 };
 
 /// The decompress-everything baseline: materialize all three columns from
-/// the snapshot, then filter + gather + fold plain.
+/// the snapshot, then filter + fold plain (and, with `keep_qty`, gather the
+/// matched qty values the scan's projection must equal).
 OracleResult DecompressThenScan(const store::TableSnapshot& snap,
                                 const RangePredicate& date_pred,
-                                const ExecContext& ctx) {
+                                const ExecContext& ctx,
+                                bool keep_qty = false) {
   const RangePredicate amount_pred{0, (1u << 19) + (1u << 18)};
   auto date = ValueOrDie(
       DecompressChunked(snap.column(0).chunked(), ctx), "decompress date");
@@ -118,6 +122,7 @@ OracleResult DecompressThenScan(const store::TableSnapshot& snap,
         a[i] >= amount_pred.lo && a[i] <= amount_pred.hi) {
       ++out.matches;
       out.qty_sum += q[i];
+      if (keep_qty) out.qty.push_back(q[i]);
     }
   }
   return out;
@@ -129,7 +134,8 @@ double SecondsSince(const std::chrono::steady_clock::time_point& start) {
   return elapsed.count();
 }
 
-/// Runs the scan, checks it against the oracle, returns best-of-3 seconds.
+/// Runs the scan, checks its match count, SUM and projected qty against
+/// the oracle (exit 1 on any difference), returns best-of-3 seconds.
 double TimedScan(const store::TableSnapshot& snap, const ScanSpec& spec,
                  const ExecContext& ctx, const OracleResult& oracle) {
   double best = 1e100;
@@ -138,7 +144,8 @@ double TimedScan(const store::TableSnapshot& snap, const ScanSpec& spec,
     auto result = ValueOrDie(exec::Scan(snap, spec, ctx), "scan");
     best = std::min(best, SecondsSince(start));
     if (result.rows_matched != oracle.matches ||
-        result.aggregates[0].value() != oracle.qty_sum) {
+        result.aggregates[0].value() != oracle.qty_sum ||
+        !(result.projections[0].values == AnyColumn(oracle.qty))) {
       bench::CheckOk(Status::Corruption("scan disagrees with oracle"),
                      "verify");
     }
@@ -160,7 +167,8 @@ void PrintTables() {
   for (const double fraction : {0.001, 0.01, 0.1, 0.5, 1.0}) {
     const RangePredicate date_pred = DatePredicate(fraction);
     const ScanSpec spec = QuerySpec(date_pred);
-    const OracleResult oracle = DecompressThenScan(snap, date_pred, ctx);
+    const OracleResult oracle =
+        DecompressThenScan(snap, date_pred, ctx, /*keep_qty=*/true);
 
     const double scan_s = TimedScan(snap, spec, ctx, oracle);
     double base_s = 1e100;
@@ -183,15 +191,18 @@ void PrintTables() {
   std::printf(
       "\nExpected shape: at low selectivity the date filter's zone maps "
       "prune most chunks before any payload is touched and the gather "
-      "materializes only the survivors, so the scan wins big; as "
-      "selectivity approaches 100%% the per-position gather loses to bulk "
-      "decompression — the classic late-vs-early materialization "
-      "crossover.\n");
+      "materializes only the survivors, so the scan wins by an order of "
+      "magnitude; the gather pays per selected row, so the margin narrows "
+      "as selectivity grows until, near 100%%, the scan meets bulk "
+      "decompression — the late-vs-early materialization crossover (on a "
+      "4-vCPU VM the scan still won 1.4-3.3x at 50%% and ran 0.9-1.5x at "
+      "100%%).\n");
 
   bench::Section("E16: thread sweep (selectivity 10%)");
   const RangePredicate date_pred = DatePredicate(0.1);
   const ScanSpec spec = QuerySpec(date_pred);
-  const OracleResult oracle = DecompressThenScan(snap, date_pred, ctx);
+  const OracleResult oracle =
+      DecompressThenScan(snap, date_pred, ctx, /*keep_qty=*/true);
   std::printf("\n%-10s %12s %10s\n", "threads", "scan ms", "speedup");
   double seq_s = 0;
   for (const uint64_t threads : {0ull, 1ull, 2ull, 4ull, 8ull}) {

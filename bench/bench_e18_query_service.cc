@@ -172,7 +172,7 @@ MixResult RunMix(const std::vector<ScanSpec>& specs) {
     futures.push_back(ValueOrDie(
         service->Submit(clients[q % clients.size()], specs[q]), "submit"));
   }
-  std::vector<exec::ScanResult> batched;
+  std::vector<QueryService::Answer> batched;
   batched.reserve(futures.size());
   std::vector<double> batched_latency;
   for (auto& future : futures) {
@@ -235,7 +235,7 @@ struct RepeatedResult {
 /// wall time and the results (bit-identity is the caller's concern).
 double DrainBurst(QueryService& service, uint64_t client,
                   const std::vector<ScanSpec>& specs,
-                  std::vector<exec::ScanResult>* out) {
+                  std::vector<QueryService::Answer>* out) {
   std::vector<QueryService::ResultFuture> futures;
   futures.reserve(specs.size());
   const auto start = std::chrono::steady_clock::now();
@@ -276,7 +276,7 @@ RepeatedResult RunRepeated() {
     off.result_cache_bytes = 0;
     auto service = ValueOrDie(QueryService::Create(&table, off), "service");
     const uint64_t client = service->RegisterClient();
-    std::vector<exec::ScanResult> batched;
+    std::vector<QueryService::Answer> batched;
     result.uncached_seconds = DrainBurst(*service, client, specs, &batched);
     for (size_t q = 0; q < specs.size(); ++q) {
       if (!exec::ScanOutputsEqual(batched[q], solo[q])) {
@@ -292,10 +292,10 @@ RepeatedResult RunRepeated() {
   {
     auto service = ValueOrDie(QueryService::Create(&table, options), "service");
     const uint64_t client = service->RegisterClient();
-    std::vector<exec::ScanResult> cold;
+    std::vector<QueryService::Answer> cold;
     DrainBurst(*service, client, specs, &cold);
     const obs::MetricsSnapshot before = Table::MetricsSnapshot();
-    std::vector<exec::ScanResult> warm;
+    std::vector<QueryService::Answer> warm;
     result.cached_seconds = DrainBurst(*service, client, specs, &warm);
     const obs::MetricsSnapshot after = Table::MetricsSnapshot();
     for (size_t q = 0; q < specs.size(); ++q) {
@@ -372,7 +372,7 @@ service::ServiceStats RunNestedConfig(bool subsume) {
       if (generation > 0) window.push_back(NestedSpec(family, generation - 1));
       window.push_back(NestedSpec(family, generation));
     }
-    std::vector<exec::ScanResult> batched;
+    std::vector<QueryService::Answer> batched;
     DrainBurst(*service, client, window, &batched);
     for (size_t q = 0; q < window.size(); ++q) {
       const auto solo = ValueOrDie(exec::Scan(snapshot, window[q]), "solo");
@@ -524,7 +524,7 @@ void BM_BatchedHotMix(benchmark::State& state) {
     }
     uint64_t total = 0;
     for (auto& future : futures) {
-      total += ValueOrDie(future.get(), "result").aggregates[0].value();
+      total += ValueOrDie(future.get(), "result")->aggregates[0].value();
     }
     benchmark::DoNotOptimize(total);
   }

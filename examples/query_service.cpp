@@ -82,12 +82,14 @@ int main() {
                   result.status().ToString().c_str());
       continue;
     }
+    // The answer is shared with the result cache: read it, never copy it.
+    const QueryService::Answer& answer = *result;
     if (q % 8 == 0) {
       std::printf("query %2zu: %llu of %llu rows matched, sum=%llu\n", q,
-                  static_cast<unsigned long long>(result->rows_matched),
-                  static_cast<unsigned long long>(result->rows_scanned),
+                  static_cast<unsigned long long>(answer->rows_matched),
+                  static_cast<unsigned long long>(answer->rows_scanned),
                   static_cast<unsigned long long>(
-                      result->aggregates[0].value()));
+                      answer->aggregates[0].value()));
     }
   }
 

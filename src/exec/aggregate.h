@@ -14,11 +14,28 @@
 
 namespace recomp::exec {
 
+/// The aggregate folds a scan can apply to a column.
+enum class AggregateOp : int { kSum = 0, kMin, kMax, kCount };
+
+/// Stable display name: "sum", "min", "max", "count".
+const char* AggregateOpName(AggregateOp op);
+
 /// An aggregate value plus how it was computed.
 struct AggregateResult {
   uint64_t value = 0;  ///< Sum (mod 2^64) or min/max as uint64.
   Strategy strategy = Strategy::kDecompressScan;
 };
+
+/// Folds sum, min or max over a whole compressed column by its pushdown
+/// strategy. Σ wraps mod 2^64 and is 0 on an empty column; min/max fail on
+/// one, and count is refused (row counts need no payload).
+Result<AggregateResult> AggregateCompressed(const CompressedColumn& compressed,
+                                            AggregateOp op);
+
+/// Folds sum, min or max over a plain unsigned column as uint64, the way
+/// every fallback does (decoded values, a stored-plain chunk in place, a
+/// scan's gathered rows). Min/max need a nonempty column.
+uint64_t FoldColumn(const AnyColumn& values, AggregateOp op);
 
 /// Σ column, wrapping mod 2^64. Empty columns sum to 0.
 Result<AggregateResult> SumCompressed(const CompressedColumn& compressed);

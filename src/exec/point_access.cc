@@ -1,7 +1,7 @@
 #include "exec/point_access.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 
 #include "core/envelope.h"
 #include "ops/pack.h"
@@ -11,103 +11,101 @@ namespace recomp::exec {
 
 namespace {
 
-/// One envelope's direct access path, resolved once from its view: O(1) or
-/// O(log runs) per row. `strategy` stays kDecompressScan when the shape has
-/// none (sequential dependencies, composed parts).
-template <typename T>
-struct DirectReader {
-  explicit DirectReader(const EnvelopeView& v) : view(v) {
-    if (view.stored_plain != nullptr) {
-      strategy = Strategy::kPlainScan;
-    } else if (view.shape == FusedShape::kNs) {
-      strategy = Strategy::kNsDirect;
-    } else if (view.shape == FusedShape::kFor) {
-      strategy = Strategy::kForDirect;
-    } else if (view.runs && view.runs->values.column != nullptr &&
-               view.runs->ends.column != nullptr) {
-      strategy = Strategy::kRpeBinarySearch;
-    } else if (view.dict && view.dict->dictionary.column != nullptr &&
-               (view.dict->codes.column != nullptr ||
-                view.dict->packed_codes != nullptr)) {
-      strategy = Strategy::kDictProbe;
-    }
-  }
+using internal::DispatchUnsignedTypeId;
 
-  /// Row `row` (< n) through the direct path.
-  Result<uint64_t> At(uint64_t row) const {
-    switch (strategy) {
-      case Strategy::kPlainScan:
-        return static_cast<uint64_t>(view.stored_plain->As<T>()[row]);
-      case Strategy::kNsDirect:
-        return static_cast<uint64_t>(ops::UnpackOne<T>(*view.packed, row));
-      case Strategy::kForDirect:
-        return static_cast<uint64_t>(static_cast<T>(
-            view.refs->As<T>()[row / view.ell] +
-            ops::UnpackOne<T>(*view.packed, row)));
-      case Strategy::kRpeBinarySearch: {
-        // Exclusive run ends are sorted: the row's run is the first end
-        // strictly greater than `row`.
-        const Column<uint32_t>& ends = view.runs->ends.column->As<uint32_t>();
+/// The one per-chunk reader: reads `count` rows of one envelope of type T —
+/// row_of(k) for k < count, each < n — into out[0, count), from `decoded`
+/// (the envelope's decoded values) when given, else through the access
+/// path resolved once from the envelope view: O(1) or O(log runs) per row,
+/// or one decode serving the whole run when the shape has no direct path.
+/// Returns the strategy that served every row.
+template <typename T, typename RowOf>
+Result<Strategy> ReadRows(const CompressedNode& node, const AnyColumn* decoded,
+                          uint64_t count, RowOf row_of, T* out) {
+  AnyColumn storage;
+  if (decoded == nullptr) {
+    RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
+    if (view.stored_plain != nullptr) {
+      const Column<T>& values = view.stored_plain->As<T>();
+      for (uint64_t k = 0; k < count; ++k) out[k] = values[row_of(k)];
+      return Strategy::kPlainScan;
+    }
+    if (view.shape == FusedShape::kNs) {
+      for (uint64_t k = 0; k < count; ++k) {
+        out[k] = ops::UnpackOne<T>(*view.packed, row_of(k));
+      }
+      return Strategy::kNsDirect;
+    }
+    if (view.shape == FusedShape::kFor) {
+      const Column<T>& refs = view.refs->As<T>();
+      for (uint64_t k = 0; k < count; ++k) {
+        const uint64_t row = row_of(k);
+        out[k] = static_cast<T>(refs[row / view.ell] +
+                                ops::UnpackOne<T>(*view.packed, row));
+      }
+      return Strategy::kForDirect;
+    }
+    if (view.runs && view.runs->values.column != nullptr &&
+        view.runs->ends.column != nullptr) {
+      // Exclusive run ends are sorted: a row's run is the first end
+      // strictly greater than the row.
+      const Column<T>& values = view.runs->values.column->As<T>();
+      const Column<uint32_t>& ends = view.runs->ends.column->As<uint32_t>();
+      for (uint64_t k = 0; k < count; ++k) {
         const uint64_t run =
             std::upper_bound(ends.begin(), ends.end(),
-                             static_cast<uint32_t>(row)) -
+                             static_cast<uint32_t>(row_of(k))) -
             ends.begin();
         if (run >= ends.size()) {
           return Status::Corruption("RPE positions end before the row");
         }
-        return static_cast<uint64_t>(view.runs->values.column->As<T>()[run]);
+        out[k] = values[run];
       }
-      case Strategy::kDictProbe: {
-        const DictView& dict = *view.dict;
-        const Column<T>& dictionary = dict.dictionary.column->As<T>();
+      return Strategy::kRpeBinarySearch;
+    }
+    if (view.dict && view.dict->dictionary.column != nullptr &&
+        (view.dict->codes.column != nullptr ||
+         view.dict->packed_codes != nullptr)) {
+      const DictView& dict = *view.dict;
+      const Column<T>& dictionary = dict.dictionary.column->As<T>();
+      for (uint64_t k = 0; k < count; ++k) {
         const uint32_t code =
             dict.codes.column != nullptr
-                ? dict.codes.column->As<uint32_t>()[row]
-                : ops::UnpackOne<uint32_t>(*dict.packed_codes, row);
+                ? dict.codes.column->As<uint32_t>()[row_of(k)]
+                : ops::UnpackOne<uint32_t>(*dict.packed_codes, row_of(k));
         if (code >= dictionary.size()) {
           return Status::Corruption("DICT code exceeds dictionary");
         }
-        return static_cast<uint64_t>(dictionary[code]);
+        out[k] = dictionary[code];
       }
-      default:
-        return Status::InvalidArgument("shape has no direct access path");
+      return Strategy::kDictProbe;
     }
+    RECOMP_ASSIGN_OR_RETURN(storage, FusedDecompressNode(node));
+    decoded = &storage;
   }
+  const Column<T>& values = decoded->As<T>();
+  for (uint64_t k = 0; k < count; ++k) out[k] = values[row_of(k)];
+  return Strategy::kDecompressScan;
+}
 
-  const EnvelopeView& view;
-  Strategy strategy = Strategy::kDecompressScan;
-};
-
-/// Answers `count` rows of one envelope — row_of(k) is the k-th row, out(k)
-/// its result slot — through the shape's direct access path when it has
-/// one, else with one decompress serving all of them.
-template <typename RowOf, typename Out>
-Status ReadRows(const CompressedNode& node, uint64_t count, RowOf row_of,
-                Out out) {
+/// Reads `count` rows of one envelope, row_of(k) for k < count, and hands
+/// each to emit(k, PointResult).
+template <typename RowOf, typename Emit>
+Status ReadPoints(const CompressedNode& node, uint64_t count, RowOf row_of,
+                  Emit emit) {
   if (!TypeIdIsUnsigned(node.out_type)) {
     return Status::InvalidArgument("point access requires an unsigned column");
   }
-  RECOMP_ASSIGN_OR_RETURN(const EnvelopeView view, ViewEnvelope(node));
-  return internal::DispatchUnsignedTypeId(
-      node.out_type, [&](auto tag) -> Status {
-        using T = typename decltype(tag)::type;
-        const DirectReader<T> reader(view);
-        if (reader.strategy != Strategy::kDecompressScan) {
-          for (uint64_t k = 0; k < count; ++k) {
-            RECOMP_ASSIGN_OR_RETURN(out(k).value, reader.At(row_of(k)));
-            out(k).strategy = reader.strategy;
-          }
-          return Status::OK();
-        }
-        RECOMP_ASSIGN_OR_RETURN(const AnyColumn plain,
-                                FusedDecompressNode(node));
-        const Column<T>& values = plain.As<T>();
-        for (uint64_t k = 0; k < count; ++k) {
-          out(k) = {static_cast<uint64_t>(values[row_of(k)]),
-                    Strategy::kDecompressScan};
-        }
-        return Status::OK();
-      });
+  return DispatchUnsignedTypeId(node.out_type, [&](auto tag) -> Status {
+    Column<typename decltype(tag)::type> values(count);
+    RECOMP_ASSIGN_OR_RETURN(
+        const Strategy strategy,
+        ReadRows(node, nullptr, count, row_of, values.data()));
+    for (uint64_t k = 0; k < count; ++k) {
+      emit(k, PointResult{static_cast<uint64_t>(values[k]), strategy});
+    }
+    return Status::OK();
+  });
 }
 
 }  // namespace
@@ -117,9 +115,9 @@ Result<PointResult> GetAt(const CompressedColumn& compressed, uint64_t row) {
     return Status::OutOfRange("point access past the end of the column");
   }
   PointResult result;
-  RECOMP_RETURN_NOT_OK(ReadRows(
+  RECOMP_RETURN_NOT_OK(ReadPoints(
       compressed.root(), 1, [&](uint64_t) { return row; },
-      [&](uint64_t) -> PointResult& { return result; }));
+      [&](uint64_t, PointResult point) { result = point; }));
   return result;
 }
 
@@ -133,12 +131,20 @@ Result<PointResult> GetAt(const ChunkedCompressedColumn& chunked, uint64_t row,
   return GetAt(chunk.column, row - chunk.zone.row_begin);
 }
 
-Status GetAtChunk(const CompressedChunk& chunk, const uint64_t* rows,
-                  uint64_t count, PointResult* out) {
-  const uint64_t base = chunk.zone.row_begin;
-  return ReadRows(
-      chunk.column.root(), count, [&](uint64_t k) { return rows[k] - base; },
-      [&](uint64_t k) -> PointResult& { return out[k]; });
+Result<Strategy> ReadChunkRows(const ChunkedCompressedColumn& chunked,
+                               const ChunkRun& run, const uint32_t* rows,
+                               const AnyColumn* decoded, AnyColumn* out) {
+  const CompressedNode& node = chunked.chunk(run.chunk).column.root();
+  const uint64_t base = chunked.chunk(run.chunk).zone.row_begin;
+  const uint64_t count = run.end - run.begin;
+  return DispatchUnsignedTypeId(out->type(), [&](auto tag) -> Result<Strategy> {
+    using T = typename decltype(tag)::type;
+    const uint32_t* selected = rows + run.begin;
+    return ReadRows(
+        node, decoded, count,
+        [selected, base](uint64_t k) -> uint64_t { return selected[k] - base; },
+        out->As<T>().data() + run.begin);
+  });
 }
 
 Result<std::vector<PointResult>> GetAtBatch(
@@ -152,52 +158,27 @@ Result<std::vector<PointResult>> GetAtBatch(
       return Status::OutOfRange("point access past the end of the column");
     }
   }
-
-  // Group the requested rows by owning chunk — duplicates and arbitrary
-  // order included — so shapes without a direct access path decompress each
-  // touched chunk exactly once instead of once per requested row. Groups
-  // are visited in ascending chunk order; input order within a group is
-  // preserved, so results are deterministic for any thread count.
-  std::map<uint64_t, std::vector<uint64_t>> by_chunk;  // chunk → input idxs.
-  {
-    // Rows usually arrive sorted (scan gathers) or clustered: remember the
-    // current chunk's bounds so runs of rows in one chunk cost a bounds
-    // check each, not a binary search plus a map lookup.
-    std::vector<uint64_t>* group = nullptr;
-    uint64_t group_begin = 0, group_end = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (group == nullptr || rows[i] < group_begin || rows[i] >= group_end) {
-        const uint64_t c = chunked.ChunkIndexOf(rows[i]);
-        const ZoneMap& zone = chunked.chunk(c).zone;
-        group_begin = zone.row_begin;
-        group_end = zone.row_begin + zone.row_count;
-        group = &by_chunk[c];
-      }
-      group->push_back(i);
-    }
-  }
-  std::vector<uint64_t> touched;                  // Ascending chunk ids.
-  std::vector<std::vector<uint64_t>> groups;      // Input indices per chunk.
-  touched.reserve(by_chunk.size());
-  groups.reserve(by_chunk.size());
-  for (auto& [chunk, indices] : by_chunk) {
-    touched.push_back(chunk);
-    groups.push_back(std::move(indices));
-  }
-  if (chunks_touched != nullptr) *chunks_touched = touched.size();
+  // Input indices in row order: every touched chunk owns one run of them.
+  std::vector<uint64_t> order(rows.size());
+  std::iota(order.begin(), order.end(), uint64_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](uint64_t a, uint64_t b) { return rows[a] < rows[b]; });
+  const auto row_of = [&](uint64_t k) { return rows[order[k]]; };
+  const auto runs = ChunkRuns(chunked, rows.size(), row_of);
+  if (chunks_touched != nullptr) *chunks_touched = runs.size();
 
   std::vector<PointResult> results(rows.size());
-  RECOMP_RETURN_NOT_OK(
-      ParallelForOk(ctx, touched.size(), [&](uint64_t g) -> Status {
-        const CompressedChunk& chunk = chunked.chunk(touched[g]);
-        const std::vector<uint64_t>& indices = groups[g];
-        const uint64_t base = chunk.zone.row_begin;
-        // One view per chunk: every requested row reads through it.
-        return ReadRows(
-            chunk.column.root(), indices.size(),
-            [&](uint64_t k) { return rows[indices[k]] - base; },
-            [&](uint64_t k) -> PointResult& { return results[indices[k]]; });
-      }));
+  RECOMP_RETURN_NOT_OK(ParallelForOk(ctx, runs.size(), [&](uint64_t g) {
+    const ChunkRun& run = runs[g];
+    const CompressedChunk& chunk = chunked.chunk(run.chunk);
+    const uint64_t base = chunk.zone.row_begin;
+    return ReadPoints(
+        chunk.column.root(), run.end - run.begin,
+        [&](uint64_t k) { return row_of(run.begin + k) - base; },
+        [&](uint64_t k, PointResult point) {
+          results[order[run.begin + k]] = point;
+        });
+  }));
   return results;
 }
 

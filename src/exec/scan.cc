@@ -5,6 +5,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <type_traits>
 #include <unordered_map>
@@ -38,20 +39,6 @@ std::string GatherStats::ToString() const {
   }
   if (any) out += "]";
   return out;
-}
-
-const char* AggregateOpName(AggregateOp op) {
-  switch (op) {
-    case AggregateOp::kSum:
-      return "sum";
-    case AggregateOp::kMin:
-      return "min";
-    case AggregateOp::kMax:
-      return "max";
-    case AggregateOp::kCount:
-      return "count";
-  }
-  return "unknown";
 }
 
 namespace {
@@ -136,22 +123,6 @@ Column<uint32_t> IntersectSorted(const Column<uint32_t>& a,
   return out;
 }
 
-/// Per-chunk aggregate dispatch (the whole-column pushdown strategies).
-Result<AggregateResult> AggregateChunk(const CompressedColumn& column,
-                                       AggregateOp op) {
-  switch (op) {
-    case AggregateOp::kSum:
-      return SumCompressed(column);
-    case AggregateOp::kMin:
-      return MinCompressed(column);
-    case AggregateOp::kMax:
-      return MaxCompressed(column);
-    case AggregateOp::kCount:
-      break;
-  }
-  return Status::InvalidArgument("count needs no per-chunk dispatch");
-}
-
 /// The unfiltered aggregate: zone maps answer what they can (min/max of
 /// chunks with min/max, count of everything), payload chunks fan out over
 /// `ctx`, and partials fold in chunk order — the exact execution (values and
@@ -191,34 +162,28 @@ Result<ChunkedAggregateResult> AggregateWholeColumn(
   std::vector<AggregateResult> slots;
   RECOMP_RETURN_NOT_OK(VisitIndicesInto(
       ctx, to_execute, &slots, [&](uint64_t i) -> Result<AggregateResult> {
-        return AggregateChunk(chunked.chunk(i).column, op);
+        return AggregateCompressed(chunked.chunk(i).column, op);
       }));
 
-  if (op == AggregateOp::kMin) result.value = ~uint64_t{0};
+  // Every nonempty chunk's partial, in chunk order, folds like any column.
+  Column<uint64_t> partials;
   uint64_t slot = 0;
   for (uint64_t i = 0; i < num_chunks; ++i) {
     const CompressedChunk& chunk = chunked.chunk(i);
     if (chunk.zone.row_count == 0) continue;
     if (op != AggregateOp::kSum && chunk.zone.has_minmax) {
-      const uint64_t v =
-          op == AggregateOp::kMin ? chunk.zone.min : chunk.zone.max;
-      result.value = op == AggregateOp::kMin ? std::min(result.value, v)
-                                             : std::max(result.value, v);
+      partials.push_back(op == AggregateOp::kMin ? chunk.zone.min
+                                                 : chunk.zone.max);
       ++result.chunks_pruned;
       ++result.strategy_chunks[static_cast<int>(Strategy::kZoneMapOnly)];
       continue;
     }
     const AggregateResult& sub = slots[slot++];
+    partials.push_back(sub.value);
     ++result.chunks_executed;
     ++result.strategy_chunks[static_cast<int>(sub.strategy)];
-    if (op == AggregateOp::kSum) {
-      result.value += sub.value;
-    } else {
-      result.value = op == AggregateOp::kMin
-                         ? std::min(result.value, sub.value)
-                         : std::max(result.value, sub.value);
-    }
   }
+  result.value = FoldColumn(AnyColumn(std::move(partials)), op);
   return result;
 }
 
@@ -318,6 +283,10 @@ Result<Plan> PlanScan(const Bound& bound, const ScanSpec& spec) {
     if (!plan.pushdown_aggregates && op != AggregateOp::kCount) {
       plan.gathered.push_back(column);
     }
+  }
+  // A gather lists its rows as uint32, a filterless one [0, take).
+  if (!plan.gathered.empty() && plan.take >= (uint64_t{1} << 32)) {
+    return Status::OutOfRange("selections support columns below 2^32 rows");
   }
   if (filters.empty()) return plan;
 
@@ -642,52 +611,43 @@ class SharedChunks {
 };
 
 /// One late-materialization pass over a column: the selected rows' values
-/// (plus the access path each row was served by) and the gather counters.
+/// in the column's own type, and the gather counters.
 struct GatherResult {
-  std::vector<PointResult> points;
+  AnyColumn values;
   GatherStats stats;
 };
 
 /// Gathers `column` at the ascending global `rows`, one touched chunk per
-/// task under `ctx`: a shared chunk's rows are read from its decoded
-/// buffer, any other chunk's through its point-access path.
+/// task under `ctx`: a shared chunk's rows come from its decoded buffer, any
+/// other chunk's through its point-access path.
 Result<GatherResult> Gather(const Bound& bound, uint64_t column,
-                            const std::vector<uint64_t>& rows,
+                            const Column<uint32_t>& rows,
                             const ExecContext& ctx, SharedChunks& shared) {
   const ChunkedCompressedColumn& chunked = *bound.columns[column];
-  // Each touched chunk owns one run of the rows: (chunk, first row index).
-  std::vector<std::pair<uint64_t, size_t>> runs;
-  for (size_t i = 0; i < rows.size();) {
-    const uint64_t c = chunked.ChunkIndexOf(rows[i]);
-    const ZoneMap& zone = chunked.chunk(c).zone;
-    runs.push_back({c, i});
-    while (i < rows.size() && rows[i] < zone.row_begin + zone.row_count) ++i;
-  }
+  const auto runs = ChunkRuns(chunked, rows.size(),
+                              [&](uint64_t k) -> uint64_t { return rows[k]; });
   GatherResult gather;
-  gather.points.resize(rows.size());
+  RECOMP_ASSIGN_OR_RETURN(
+      gather.values,
+      DispatchUnsignedTypeId(chunked.type(), [&](auto t) -> Result<AnyColumn> {
+        return AnyColumn(Column<typename decltype(t)::type>(rows.size()));
+      }));
+  std::vector<Strategy> served(runs.size());
   RECOMP_RETURN_NOT_OK(ParallelForOk(ctx, runs.size(), [&](uint64_t g) {
-    const auto [c, begin] = runs[g];
-    const size_t end = g + 1 < runs.size() ? runs[g + 1].second : rows.size();
-    const CompressedChunk& chunk = chunked.chunk(c);
-    if (!shared.Shared(column, c)) {
-      return GetAtChunk(chunk, &rows[begin], end - begin,
-                        &gather.points[begin]);
+    std::shared_ptr<const AnyColumn> decoded;
+    if (shared.Shared(column, runs[g].chunk)) {
+      RECOMP_ASSIGN_OR_RETURN(decoded, shared.Decoded(column, runs[g].chunk));
     }
-    RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
-                            shared.Decoded(column, c));
-    values->VisitPlain([&](const auto& col) {
-      for (size_t k = begin; k < end; ++k) {
-        gather.points[k] = {
-            static_cast<uint64_t>(col[rows[k] - chunk.zone.row_begin]),
-            Strategy::kDecompressScan};
-      }
-    });
+    RECOMP_ASSIGN_OR_RETURN(
+        served[g], ReadChunkRows(chunked, runs[g], rows.data(),
+                                 decoded.get(), &gather.values));
     return Status::OK();
   }));
   gather.stats.rows = rows.size();
   gather.stats.chunks_touched = runs.size();
-  for (const PointResult& point : gather.points) {
-    ++gather.stats.strategy_rows[static_cast<int>(point.strategy)];
+  for (size_t g = 0; g < runs.size(); ++g) {
+    gather.stats.strategy_rows[static_cast<int>(served[g])] +=
+        runs[g].end - runs[g].begin;
   }
   return gather;
 }
@@ -810,49 +770,28 @@ Result<ScanResult> RunQuery(const Bound& bound, const ScanSpec& spec,
   }
 
   // The rows projections and aggregates see: the (limited) selection, or —
-  // with no filters — an identity prefix.
-  std::vector<uint64_t> sel;
-  if (!filters.empty()) {
-    sel.assign(result.positions.begin(), result.positions.end());
-  } else if (!plan.projections.empty() ||
-             (!plan.aggregates.empty() && !plan.pushdown_aggregates)) {
-    sel.resize(plan.take);
-    for (uint64_t i = 0; i < plan.take; ++i) sel[i] = i;
+  // with no filters — the identity prefix [0, take).
+  Column<uint32_t> prefix;
+  if (filters.empty() && !plan.gathered.empty()) {
+    prefix.resize(plan.take);
+    std::iota(prefix.begin(), prefix.end(), uint32_t{0});
   }
+  const Column<uint32_t>& rows = filters.empty() ? prefix : result.positions;
+  const uint64_t selected =
+      filters.empty() ? plan.take : result.positions.size();
 
   // Late materialization, one gather per distinct column even when it is
   // both projected and aggregated. The span closes at function exit, so the
-  // materialize phase covers projections, aggregates, and the metric fold.
+  // materialize phase covers aggregates, projections, and the metric fold.
   const obs::Span materialize_span("scan.materialize");
   std::unordered_map<uint64_t, GatherResult> gathers;
-  auto gather_for = [&](uint64_t col) -> Result<const GatherResult*> {
+  auto gather_for = [&](uint64_t col) -> Result<GatherResult*> {
     auto it = gathers.find(col);
     if (it != gathers.end()) return &it->second;
     RECOMP_ASSIGN_OR_RETURN(GatherResult gather,
-                            Gather(bound, col, sel, ctx, shared));
+                            Gather(bound, col, rows, ctx, shared));
     return &gathers.emplace(col, std::move(gather)).first->second;
   };
-
-  for (size_t p = 0; p < plan.projections.size(); ++p) {
-    ScanProjection out;
-    out.column = spec.projections()[p];
-    RECOMP_ASSIGN_OR_RETURN(const GatherResult* gather,
-                            gather_for(plan.projections[p]));
-    out.gather = gather->stats;
-    RECOMP_ASSIGN_OR_RETURN(
-        out.values,
-        DispatchUnsignedTypeId(
-            columns[plan.projections[p]]->type(),
-            [&](auto tag) -> Result<AnyColumn> {
-              using T = typename decltype(tag)::type;
-              Column<T> values(gather->points.size());
-              for (size_t i = 0; i < gather->points.size(); ++i) {
-                values[i] = static_cast<T>(gather->points[i].value);
-              }
-              return AnyColumn(std::move(values));
-            }));
-    result.projections.push_back(std::move(out));
-  }
 
   for (size_t a = 0; a < plan.aggregates.size(); ++a) {
     const auto [col, op] = plan.aggregates[a];
@@ -864,35 +803,34 @@ Result<ScanResult> RunQuery(const Bound& bound, const ScanSpec& spec,
                               AggregateWholeColumn(*columns[col], op, ctx));
       out.rows = bound.rows;
     } else {
-      out.rows = sel.size();
+      out.rows = selected;
       if (op == AggregateOp::kCount) {
-        out.agg.value = sel.size();
-      } else if (!sel.empty()) {
+        out.agg.value = selected;
+      } else if (selected > 0) {
         RECOMP_ASSIGN_OR_RETURN(const GatherResult* gather, gather_for(col));
         out.gather = gather->stats;
-        uint64_t acc = op == AggregateOp::kMin ? ~uint64_t{0} : 0;
-        for (const PointResult& point : gather->points) {
-          switch (op) {
-            case AggregateOp::kSum:
-              acc += point.value;
-              break;
-            case AggregateOp::kMin:
-              acc = std::min(acc, point.value);
-              break;
-            case AggregateOp::kMax:
-              acc = std::max(acc, point.value);
-              break;
-            case AggregateOp::kCount:
-              break;
-          }
-        }
-        out.agg.value = acc;
+        out.agg.value = FoldColumn(gather->values, op);
       }
       // Min/max of an empty selection stays 0 with rows == 0: a filtered
       // scan that matches nothing is an answer, not an error (unlike the
       // whole-column min/max of an empty column, which keeps failing).
     }
     result.aggregates.push_back(std::move(out));
+  }
+
+  // Aggregates have folded their gathers, so a column's last projection
+  // takes its gathered values and only an earlier one copies them.
+  for (size_t p = 0; p < plan.projections.size(); ++p) {
+    const uint64_t col = plan.projections[p];
+    ScanProjection out;
+    out.column = spec.projections()[p];
+    RECOMP_ASSIGN_OR_RETURN(GatherResult* gather, gather_for(col));
+    out.gather = gather->stats;
+    const auto later = plan.projections.begin() + p + 1;
+    const bool last =
+        std::find(later, plan.projections.end(), col) == plan.projections.end();
+    out.values = last ? std::move(gather->values) : gather->values;
+    result.projections.push_back(std::move(out));
   }
 
   // Fold this query's counters into the process-wide registry — and, when
@@ -1001,6 +939,12 @@ Result<ScanResult> Scan(const store::TableSnapshot& snapshot,
 
 Result<ScanResult> Scan(const ChunkedCompressedColumn& column,
                         const ScanSpec& spec, const ExecContext& ctx) {
+  return std::move(ExecuteBatch(column, {&spec}, ctx)[0]);
+}
+
+std::vector<Result<ScanResult>> ExecuteBatch(
+    const ChunkedCompressedColumn& column,
+    const std::vector<const ScanSpec*>& specs, const ExecContext& ctx) {
   Bound bound;
   bound.columns = {&column};
   bound.lookup = [](const std::string& name) -> Result<uint64_t> {
@@ -1010,7 +954,7 @@ Result<ScanResult> Scan(const ChunkedCompressedColumn& column,
                             "with the empty name");
   };
   bound.rows = column.size();
-  return std::move(RunBatch(bound, {&spec}, ctx)[0]);
+  return RunBatch(bound, specs, ctx);
 }
 
 std::vector<Result<ScanResult>> ExecuteBatch(

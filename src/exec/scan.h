@@ -11,12 +11,14 @@
 // predicates with the same per-chunk pushdown strategies the free
 // functions use (including the kPlainScan ID fast path over live tails),
 // intersecting selection vectors, and only then late-materializing the
-// projected columns by point access — the filter-then-materialize pattern
-// of "Revisiting Data Compression in Column-Stores" (PAPERS.md).
+// projected and aggregated columns — the filter-then-materialize pattern
+// of "Revisiting Data Compression in Column-Stores" (PAPERS.md). A gather
+// reads the selected uint32 row ids straight into a column of the gathered
+// column's own type, one run per touched chunk (exec/point_access.h).
 //
 // Scan is the batch scan of exec/scan_batch.h run over one spec: with no
 // companion query, no chunk is shared, so every chunk runs its pushdown
-// strategy and every gathered row comes off its chunk's point-access path.
+// strategy and every gathered run comes off its chunk's point-access path.
 //
 // The per-operator free functions (SelectCompressed, Sum/Min/MaxCompressed)
 // remain as thin wrappers over one-filter / one-aggregate specs and return
@@ -44,12 +46,6 @@ class TableSnapshot;
 }  // namespace recomp::store
 
 namespace recomp::exec {
-
-/// The aggregate folds a scan can apply to a column.
-enum class AggregateOp : int { kSum = 0, kMin, kMax, kCount };
-
-/// Stable display name: "sum", "min", "max", "count".
-const char* AggregateOpName(AggregateOp op);
 
 /// A declarative scan over one column or a row-aligned snapshot: up to N
 /// conjunctive range filters, a projection list, aggregate folds, and a row
@@ -135,13 +131,15 @@ struct ScanFilterStats {
   ChunkedSelectionStats stats;
 };
 
-/// How a gather (late materialization) executed: per-row access-path counts
-/// and the number of distinct chunks touched. Each touched chunk is
-/// decompressed at most once regardless of how many rows land in it.
+/// How a gather (late materialization) executed: rows per access path and
+/// the number of distinct chunks touched. Each touched chunk's rows are read
+/// as one run by one path, decoding the chunk at most once however many rows
+/// land in it.
 struct GatherStats {
   uint64_t rows = 0;
   uint64_t chunks_touched = 0;
-  /// Rows served per point-access path, indexed by Strategy.
+  /// Rows served per access path, indexed by Strategy: each chunk's run
+  /// counts under the one strategy that served it.
   uint64_t strategy_rows[kNumStrategies] = {};
 
   /// One-line human-readable rendering, e.g.

@@ -138,6 +138,12 @@ std::vector<Result<ScanResult>> ExecuteBatch(
     SelectionVectorCache* selection_cache, DecodedChunkCache* decoded_cache,
     BatchStats* stats = nullptr, bool subsume_predicates = true);
 
+/// Single-column convenience: the same batch over one chunked column,
+/// addressed by the empty name, with batch-local caches and no lattice.
+std::vector<Result<ScanResult>> ExecuteBatch(
+    const ChunkedCompressedColumn& column,
+    const std::vector<const ScanSpec*>& specs, const ExecContext& ctx = {});
+
 }  // namespace recomp::exec
 
 #endif  // RECOMP_EXEC_SCAN_BATCH_H_

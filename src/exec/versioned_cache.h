@@ -70,9 +70,10 @@ class VersionedCache {
   explicit VersionedCache(uint64_t budget) : budget_(budget) {}
 
   /// The value of `key` at `version`: stored, in flight (waited for), or
-  /// computed now by `compute`, a callable returning Result<Value>. A failed
-  /// computation is shared with its waiters like a value. `*reused`, when
-  /// non-null, reports whether the key was stored or in flight.
+  /// computed now by `compute`, a callable returning Result<Value> (or a
+  /// Result<Handle> it already shares). A failed computation is shared with
+  /// its waiters like a value. `*reused`, when non-null, reports whether
+  /// the key was stored or in flight.
   template <typename Compute>
   Result<Handle> GetOrCompute(uint64_t version, const Key& key,
                               Compute&& compute, bool* reused = nullptr) {
@@ -102,7 +103,12 @@ class VersionedCache {
 
   /// Stores a ready value: GetOrCompute with nothing left to compute.
   void Insert(uint64_t version, const Key& key, Value value) {
-    const auto ready = [&] { return Result<Value>(std::move(value)); };
+    Insert(version, key, std::make_shared<const Value>(std::move(value)));
+  }
+
+  /// Stores a value its callers already share, without copying it.
+  void Insert(uint64_t version, const Key& key, Handle value) {
+    const auto ready = [&] { return Result<Handle>(std::move(value)); };
     (void)GetOrCompute(version, key, ready);
   }
 
@@ -169,6 +175,7 @@ class VersionedCache {
     if (!value.ok()) return value.status();
     return std::make_shared<const Value>(std::move(value).ValueUnsafe());
   }
+  static Result<Handle> Share(Result<Handle> shared) { return shared; }
 
   /// Charges a settled computation to the ledger, unless a newer version
   /// purged its slot while it computed. Within one version a slot in flight

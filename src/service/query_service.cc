@@ -248,7 +248,7 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
 
   // Result-level reuse pass: a spec cached at this version is answered
   // without executing; of identical specs within the window, only the
-  // first executes and the rest receive copies of its result.
+  // first executes and the rest share its result.
   std::vector<Pending*> to_run;
   std::vector<std::string> run_keys;  // Aligned with to_run; result_cache_ on.
   std::vector<std::pair<Pending*, size_t>> duplicates;  // (query, to_run idx).
@@ -287,7 +287,7 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
     }
     const auto served = std::chrono::steady_clock::now();
     for (const auto& [pending, result] : hits) {
-      Deliver(pending, *result, served);
+      Deliver(pending, result, served);
     }
   }
 
@@ -299,18 +299,32 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
     specs.reserve(to_run.size());
     for (const Pending* pending : to_run) specs.push_back(&pending->spec);
     BatchStats stats;
-    std::vector<Result<exec::ScanResult>> results =
+    std::vector<Result<exec::ScanResult>> executed =
         ExecuteBatch(*snapshot_, specs, ctx_, selection_cache_.get(),
                      decoded_cache_.get(), &stats,
                      options_.subsume_predicates);
     const auto completed = std::chrono::steady_clock::now();
 
-    if (result_cache_ != nullptr) {
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        // Never cache errors: a transient failure must not poison retries.
-        if (results[i].ok()) {
-          result_cache_->Insert(version, run_keys[i], *results[i]);
-        }
+    // Each result is shared from here on, never copied: its runner, its
+    // in-window duplicates and the result cache hold the one ScanResult.
+    std::vector<Result<ResultCache::Handle>> results;
+    results.reserve(executed.size());
+    for (size_t i = 0; i < executed.size(); ++i) {
+      // Never cache errors: a transient failure must not poison retries.
+      if (!executed[i].ok()) {
+        results.push_back(executed[i].status());
+        continue;
+      }
+      exec::ScanResult& result = *executed[i];
+      if (result_cache_ != nullptr) {
+        // The cache charges a result its sizes (ApproxResultBytes): drop the
+        // slack its positions grew with, so it keeps what it is charged.
+        result.positions.shrink_to_fit();
+      }
+      results.push_back(std::make_shared<const exec::ScanResult>(
+          std::move(result)));
+      if (result_cache_ != nullptr) {
+        result_cache_->Insert(version, run_keys[i], *results[i]);
       }
     }
 
@@ -327,7 +341,7 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
     metrics.result_cache_dedup_hits->Add(duplicates.size());
 
     // Duplicates first: their promises must not outwait their runner's by
-    // more than delivery order (copies, so the runner's slot stays intact).
+    // more than delivery order.
     for (const auto& [pending, runner] : duplicates) {
       Deliver(pending, results[runner], completed);
     }
@@ -343,7 +357,8 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
   if (result_cache_ != nullptr) result_cache_->EvictToBudget();
 }
 
-void QueryService::Deliver(Pending* pending, Result<exec::ScanResult> result,
+void QueryService::Deliver(Pending* pending,
+                           Result<ResultCache::Handle> result,
                            std::chrono::steady_clock::time_point completed) {
   const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
   // The post-execution deadline check: a result completed past its deadline
@@ -360,7 +375,8 @@ void QueryService::Deliver(Pending* pending, Result<exec::ScanResult> result,
   Finish(pending, std::move(result));
 }
 
-void QueryService::Finish(Pending* pending, Result<exec::ScanResult> result) {
+void QueryService::Finish(Pending* pending,
+                          Result<ResultCache::Handle> result) {
   // Release the in-flight slot BEFORE fulfilling the promise: a client that
   // observes its future ready must be able to submit again immediately.
   {
@@ -368,7 +384,11 @@ void QueryService::Finish(Pending* pending, Result<exec::ScanResult> result) {
     const auto it = in_flight_.find(pending->client);
     if (it != in_flight_.end() && it->second > 0) --it->second;
   }
-  pending->promise.set_value(std::move(result));
+  if (result.ok()) {
+    pending->promise.set_value(Answer(std::move(result).ValueUnsafe()));
+  } else {
+    pending->promise.set_value(std::move(result).status());
+  }
   obs::ServiceMetrics::Get().e2e_ns->Record(
       ElapsedNanos(pending->enqueued, std::chrono::steady_clock::now()));
 }

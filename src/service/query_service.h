@@ -12,6 +12,8 @@
 // strategy. Whole results recycle
 // through the ResultCache — an identical spec at the same data version
 // never executes, and identical specs *within* one window execute once.
+// Every answer is the computed ScanResult itself, shared and immutable, so
+// serving it again costs a reference count, never a copy.
 //
 // The batching window is the classic shared-scan latency/throughput knob: a
 // longer window groups more queries per pass (more shared chunks) at the
@@ -116,8 +118,26 @@ struct ServiceStats {
 /// thread-safe except Stop(), which only the owning thread should call.
 class QueryService {
  public:
+  /// One delivered answer: the ScanResult the service computed or cached,
+  /// shared with the result cache and every client given the same answer,
+  /// and never modified. It reads as a `const exec::ScanResult&` wherever
+  /// one is expected.
+  class Answer {
+   public:
+    explicit Answer(std::shared_ptr<const exec::ScanResult> result)
+        : result_(std::move(result)) {}
+
+    const exec::ScanResult* operator->() const { return result_.get(); }
+    operator const exec::ScanResult&() const {  // NOLINT(runtime/explicit)
+      return *result_;
+    }
+
+   private:
+    std::shared_ptr<const exec::ScanResult> result_;
+  };
+
   /// A submitted query's eventual outcome.
-  using ResultFuture = std::future<Result<exec::ScanResult>>;
+  using ResultFuture = std::future<Result<Answer>>;
 
   /// Validates `options` and starts the dispatcher thread. `ctx` is the
   /// pool batches fan out over; its priority is raised to kHigh so batch
@@ -168,7 +188,7 @@ class QueryService {
   struct Pending {
     uint64_t client = 0;
     exec::ScanSpec spec;
-    std::promise<Result<exec::ScanResult>> promise;
+    std::promise<Result<Answer>> promise;
     std::chrono::steady_clock::time_point enqueued;
     /// time_point::max() for a query without one.
     std::chrono::steady_clock::time_point deadline =
@@ -190,11 +210,11 @@ class QueryService {
   /// Delivers one executed (or cache-served) result: a query whose deadline
   /// passed before `completed` is answered DeadlineExceeded instead — a
   /// result the client could no longer use must not masquerade as OK.
-  void Deliver(Pending* pending, Result<exec::ScanResult> result,
+  void Deliver(Pending* pending, Result<ResultCache::Handle> result,
                std::chrono::steady_clock::time_point completed);
 
   /// Fulfills one query's promise and releases its in-flight slot.
-  void Finish(Pending* pending, Result<exec::ScanResult> result);
+  void Finish(Pending* pending, Result<ResultCache::Handle> result);
 
   const store::Table* const table_;
   const ServiceOptions options_;

@@ -8,8 +8,10 @@
 // Select, sum/min/max and semi-join refuse wherever FusedDecompress refuses;
 // wherever it accepts, every operator (point access and the refined
 // approximate sum included) equals decode-then-operate, with
-// ops::SelectRange and plain folds as the reference. Each failure names the
-// seed, shape and damage that replay it.
+// ops::SelectRange and plain folds as the reference. That includes the
+// scan's gather, solo and from a shared decoded buffer, whose batch also
+// refuses wherever FusedDecompress does. Each failure names the seed, shape
+// and damage that replay it.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "exec/approx.h"
 #include "exec/join.h"
 #include "exec/point_access.h"
+#include "exec/scan_batch.h"
 #include "exec/selection.h"
 #include "ops/select.h"
 #include "util/bits.h"
@@ -355,6 +358,16 @@ void CheckOperators(const CompressedColumn& damaged, const AnyColumn& original,
     points.push_back(exec::GetAt(column, row));
     chunked_points.push_back(exec::GetAt(*chunked, row));
   }
+  // The scan's gather: solo, each chunk through its point-access path; and
+  // the same two specs as one batch, which shares the chunk and gathers
+  // from its decoded buffer.
+  exec::ScanSpec project_all, filtered_sum;
+  project_all.Project();
+  filtered_sum.Filter(pred).Aggregate(exec::AggregateOp::kSum);
+  const auto scan_all = exec::Scan(*chunked, project_all);
+  const auto scan_sum = exec::Scan(*chunked, filtered_sum);
+  const auto shared =
+      exec::ExecuteBatch(*chunked, {&project_all, &filtered_sum});
 
   if (!decoded.ok()) {
     const std::string why = decoded.status().ToString();
@@ -368,6 +381,7 @@ void CheckOperators(const CompressedColumn& damaged, const AnyColumn& original,
     EXPECT_FALSE(max_chunked.ok()) << why;
     EXPECT_FALSE(join.ok()) << why;
     EXPECT_FALSE(refined.ok()) << why;
+    for (const auto& result : shared) EXPECT_FALSE(result.ok()) << why;
     return;
   }
 
@@ -428,6 +442,20 @@ void CheckOperators(const CompressedColumn& damaged, const AnyColumn& original,
       EXPECT_EQ(points[k]->value, want_value) << "row " << rows[k];
       EXPECT_EQ(chunked_points[k]->value, want_value) << "row " << rows[k];
       EXPECT_EQ((*batch)[k].value, want_value) << "row " << rows[k];
+    }
+
+    uint64_t want_filtered_sum = 0;
+    for (const uint32_t p : want) want_filtered_sum += col[p];
+    ASSERT_EQ(shared.size(), 2u);
+    for (const auto* got : {&scan_all, &shared[0]}) {
+      ASSERT_TRUE(got->ok()) << got->status().ToString();
+      ASSERT_EQ((*got)->projections.size(), 1u);
+      EXPECT_TRUE((*got)->projections[0].values == AnyColumn(col));
+    }
+    for (const auto* got : {&scan_sum, &shared[1]}) {
+      ASSERT_TRUE(got->ok()) << got->status().ToString();
+      EXPECT_EQ((*got)->rows_matched, want.size());
+      EXPECT_EQ((*got)->aggregates[0].value(), want_filtered_sum);
     }
   });
 }

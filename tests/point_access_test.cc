@@ -9,9 +9,12 @@
 #include "core/catalog.h"
 #include "core/chunked.h"
 #include "exec/point_access.h"
+#include "exec/scan.h"
 #include "gen/generators.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace recomp {
 namespace {
@@ -164,6 +167,54 @@ TEST(PointAccessTest, BatchDuplicateAndUnsortedRowsAgreeWithGetAt) {
     SCOPED_TRACE(desc.ToString());
     ExpectBatchAgreesWithPointwise(*chunked, col, rows, ExecContext{});
     ExpectBatchAgreesWithPointwise(*chunked, col, rows, ExecContext{&pool, 1});
+  }
+}
+
+/// Successful fused decodes so far, over every shape and dispatch path.
+uint64_t FusedDecodes() {
+  uint64_t total = 0;
+  for (const auto& counter : obs::Registry::Get().Snapshot().counters) {
+    if (counter.name.rfind("fused.decode.", 0) == 0) total += counter.value;
+  }
+  return total;
+}
+
+TEST(PointAccessTest, EachTouchedChunkDecodesOnce) {
+  // DELTA(NS) has no direct access path: every read decodes its chunk, so
+  // the fused.decode.* counters count how often each touched chunk was
+  // decoded — exactly once, for a batch of unsorted, duplicated rows and
+  // for a filterless scan projecting every row, on any pool.
+  constexpr uint64_t kChunk = 512;
+  const Column<uint32_t> col = gen::SortedRuns(8 * kChunk, 12.0, 2, 21);
+  auto chunked = CompressChunked(AnyColumn(col), MakeDeltaNs(), {kChunk});
+  ASSERT_OK(chunked.status());
+  // Chunks 6, 1, 3 and 0, out of order and repeated.
+  const std::vector<uint64_t> rows = {
+      6 * kChunk + 9, kChunk,     3 * kChunk + 511, 7,          kChunk,
+      6 * kChunk + 9, 3 * kChunk, 0,                kChunk + 17};
+
+  for (const uint64_t workers : {0, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ThreadPool pool(workers);
+    const ExecContext ctx{workers == 0 ? nullptr : &pool, 1};
+
+    uint64_t before = FusedDecodes();
+    uint64_t touched = 0;
+    const auto batch = exec::GetAtBatch(*chunked, rows, ctx, &touched);
+    ASSERT_OK(batch.status());
+    EXPECT_EQ(touched, 4u);
+    EXPECT_EQ(FusedDecodes() - before, 4u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ((*batch)[i].value, col[rows[i]]) << "row " << rows[i];
+    }
+
+    before = FusedDecodes();
+    const auto scan = exec::Scan(*chunked, exec::ScanSpec().Project(), ctx);
+    ASSERT_OK(scan.status());
+    EXPECT_EQ(FusedDecodes() - before, chunked->num_chunks());
+    EXPECT_TRUE(scan->projections[0].values == AnyColumn(col));
+    EXPECT_EQ(scan->projections[0].gather.chunks_touched,
+              chunked->num_chunks());
   }
 }
 

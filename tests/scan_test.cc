@@ -946,5 +946,42 @@ TEST(ScanTest, FilteredLimitFoldsAggregatesOverTheLimitedPrefix) {
   for (int g = 0; g < 3; ++g) EXPECT_EQ(result->aggregates[g].rows, kTake);
 }
 
+TEST(ScanTest, GatherPastUint32RowsIsRefusedBeforeAnyWork) {
+  // Gathers address rows as uint32, like selections. A filterless aggregate
+  // under a limit below the row count gathers the prefix [0, take), so a
+  // take of 2^32 or more gets the refusal filters and projections get —
+  // before a single row is listed or read — while a smaller limit still
+  // gathers. A zero-width NS envelope claims the rows with no payload byte.
+  constexpr uint64_t kRows = (uint64_t{1} << 32) + 8;
+  CompressedNode node;
+  node.scheme = Ns(0);
+  node.n = kRows;
+  node.out_type = TypeId::kUInt32;
+  PackedColumn packed;
+  packed.n = kRows;
+  CompressedPart part;
+  part.column = AnyColumn(std::move(packed));
+  node.parts.emplace("packed", std::move(part));
+  const ChunkedCompressedColumn chunked =
+      ChunkedCompressedColumn::FromSingle(CompressedColumn(std::move(node)));
+  ASSERT_EQ(chunked.size(), kRows);
+
+  ScanSpec spec;
+  spec.Aggregate(AggregateOp::kSum).Limit(kRows - 4);
+  const auto result = Scan(chunked, spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(result.status().message(),
+            "selections support columns below 2^32 rows");
+
+  ScanSpec small;
+  small.Aggregate(AggregateOp::kSum).Limit(100);
+  const auto answered = Scan(chunked, small);
+  ASSERT_OK(answered.status());
+  EXPECT_EQ(answered->aggregates[0].value(), 0u);
+  EXPECT_EQ(answered->aggregates[0].rows, 100u);
+  EXPECT_EQ(answered->aggregates[0].gather.rows, 100u);
+}
+
 }  // namespace
 }  // namespace recomp

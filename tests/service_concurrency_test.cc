@@ -89,17 +89,17 @@ TEST(ServiceConcurrencyTest, SubmitsRaceAppendsSealsAndMaintenance) {
         std::this_thread::yield();
         continue;
       }
-      Result<exec::ScanResult> result = future->get();
+      Result<QueryService::Answer> result = future->get();
       ASSERT_OK(result.status());
-      const uint64_t n = result->rows_scanned;
+      const uint64_t n = (*result)->rows_scanned;
       ASSERT_LE(n, kRows);
       ASSERT_EQ(n % kBatchRows, 0u) << "snapshot cut mid-append";
       if (spec.filters().empty()) {
-        ASSERT_EQ(result->aggregates[0].value(), prefix_sum[n]);
-        ASSERT_EQ(result->aggregates[1].value(), n);
+        ASSERT_EQ((*result)->aggregates[0].value(), prefix_sum[n]);
+        ASSERT_EQ((*result)->aggregates[1].value(), n);
       } else {
-        ASSERT_EQ(result->rows_matched, n) << "all-pass filter dropped rows";
-        ASSERT_EQ(result->aggregates[0].value(), prefix_sum[n]);
+        ASSERT_EQ((*result)->rows_matched, n) << "all-pass filter dropped rows";
+        ASSERT_EQ((*result)->aggregates[0].value(), prefix_sum[n]);
       }
       queries_checked.fetch_add(1, std::memory_order_relaxed);
     }
@@ -178,7 +178,8 @@ ScanSpec FuzzSpec(Rng& rng) {
 /// Every answer must equal solo exec::Scan's and the plain-array oracle's
 /// (testutil::OracleScan) over the table's plain columns.
 void ExpectMatchesSoloAndOracle(
-    const Result<exec::ScanResult>& batched, const store::TableSnapshot& snap,
+    const Result<QueryService::Answer>& batched,
+    const store::TableSnapshot& snap,
     const std::map<std::string, const Column<uint32_t>*>& plain,
     const ScanSpec& spec, size_t q) {
   ASSERT_OK(batched.status()) << "query " << q;

@@ -97,7 +97,7 @@ ServiceOptions WindowOf(uint64_t queries) {
 }
 
 /// Submits `specs` for one client and returns the answers, in order.
-std::vector<Result<exec::ScanResult>> RunAll(
+std::vector<Result<QueryService::Answer>> RunAll(
     QueryService& svc, const std::vector<ScanSpec>& specs) {
   const uint64_t client = svc.RegisterClient();
   std::vector<QueryService::ResultFuture> futures;
@@ -106,7 +106,7 @@ std::vector<Result<exec::ScanResult>> RunAll(
     EXPECT_OK(future.status());
     if (future.ok()) futures.push_back(std::move(*future));
   }
-  std::vector<Result<exec::ScanResult>> results;
+  std::vector<Result<QueryService::Answer>> results;
   for (auto& future : futures) results.push_back(future.get());
   return results;
 }
@@ -132,7 +132,7 @@ TEST(ServiceTest, BatchedResultsMatchSoloScan) {
     futures.push_back(std::move(*future));
   }
   for (size_t q = 0; q < futures.size(); ++q) {
-    Result<exec::ScanResult> batched = futures[q].get();
+    Result<QueryService::Answer> batched = futures[q].get();
     ASSERT_OK(batched.status()) << "query " << q;
     auto solo = exec::Scan(*snap, specs[q]);
     ASSERT_OK(solo.status()) << "query " << q;
@@ -249,7 +249,7 @@ TEST(ServiceTest, QueuedDeadlineExpiresWithoutExecuting) {
   auto alive = svc.Submit(client, spec, std::chrono::seconds(60));
   ASSERT_OK(alive.status());
 
-  Result<exec::ScanResult> expired_result = expired->get();
+  Result<QueryService::Answer> expired_result = expired->get();
   ASSERT_FALSE(expired_result.ok());
   EXPECT_EQ(expired_result.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_OK(alive->get().status());
@@ -273,7 +273,7 @@ TEST(ServiceTest, PerQueryErrorsFailOnlyTheirSlotAndNameTheColumn) {
   ASSERT_OK(bad_future.status());
 
   EXPECT_OK(good_future->get().status());
-  Result<exec::ScanResult> bad_result = bad_future->get();
+  Result<QueryService::Answer> bad_result = bad_future->get();
   ASSERT_FALSE(bad_result.ok());
   EXPECT_EQ(bad_result.status().code(), StatusCode::kKeyError);
   EXPECT_NE(bad_result.status().message().find("filter column 'nope'"),
@@ -336,7 +336,7 @@ TEST(ServiceTest, AppendInvalidatesCachedSelectionsAndResultsStayFresh) {
 
   auto first = svc.Submit(client, spec);
   ASSERT_OK(first.status());
-  Result<exec::ScanResult> before = first->get();
+  Result<QueryService::Answer> before = first->get();
   ASSERT_OK(before.status());
 
   // Append rows that all match the filter: the version bumps, cached
@@ -349,10 +349,10 @@ TEST(ServiceTest, AppendInvalidatesCachedSelectionsAndResultsStayFresh) {
 
   auto second = svc.Submit(client, spec);
   ASSERT_OK(second.status());
-  Result<exec::ScanResult> after = second->get();
+  Result<QueryService::Answer> after = second->get();
   ASSERT_OK(after.status());
-  EXPECT_EQ(after->rows_scanned, before->rows_scanned + appended);
-  EXPECT_EQ(after->rows_matched, before->rows_matched + appended);
+  EXPECT_EQ((*after)->rows_scanned, (*before)->rows_scanned + appended);
+  EXPECT_EQ((*after)->rows_matched, (*before)->rows_matched + appended);
 
   // And the batched answer still matches solo execution post-append.
   auto snap = table->Snapshot();
@@ -529,8 +529,10 @@ TEST(ServiceTest, QueriesOnDisjointChunksRunTheirPushdownStrategies) {
     EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo));
     ExpectSoloExecution(*results[q], *solo);
     const int decompress = static_cast<int>(exec::Strategy::kDecompressScan);
-    EXPECT_EQ(results[q]->filters[0].stats.strategy_chunks[decompress], 0u);
-    EXPECT_EQ(results[q]->projections[0].gather.strategy_rows[decompress], 0u);
+    EXPECT_EQ((*results[q])->filters[0].stats.strategy_chunks[decompress],
+              0u);
+    EXPECT_EQ((*results[q])->projections[0].gather.strategy_rows[decompress],
+              0u);
   }
   const service::ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.batches, 1u);
@@ -589,7 +591,7 @@ TEST(ServiceTest, DeadlinePastTheClockRangeMeansNoDeadline) {
   auto future = svc.Submit(svc.RegisterClient(), spec,
                            std::chrono::nanoseconds::max());
   ASSERT_OK(future.status());
-  Result<exec::ScanResult> result = future->get();
+  Result<QueryService::Answer> result = future->get();
   ASSERT_OK(result.status());
   auto solo = exec::Scan(*snap, spec);
   ASSERT_OK(solo.status());
@@ -610,9 +612,9 @@ TEST(ServiceTest, WindowPastTheClockRangeStillDispatches) {
   spec.Aggregate("v", AggregateOp::kCount);
   auto future = svc.Submit(svc.RegisterClient(), spec);
   ASSERT_OK(future.status());
-  Result<exec::ScanResult> result = future->get();
+  Result<QueryService::Answer> result = future->get();
   ASSERT_OK(result.status());
-  EXPECT_EQ(result->aggregates[0].value(), kChunk);
+  EXPECT_EQ((*result)->aggregates[0].value(), kChunk);
 }
 
 TEST(ServiceTest, StopDrainsQueuedQueriesBeforeJoining) {
@@ -636,9 +638,9 @@ TEST(ServiceTest, StopDrainsQueuedQueriesBeforeJoining) {
   // Stop must cut the 10s window short AND answer everything queued.
   svc.Stop();
   for (auto& future : futures) {
-    Result<exec::ScanResult> result = future.get();
+    Result<QueryService::Answer> result = future.get();
     ASSERT_OK(result.status());
-    EXPECT_EQ(result->aggregates[0].value(), 2 * kChunk);
+    EXPECT_EQ((*result)->aggregates[0].value(), 2 * kChunk);
   }
 }
 
@@ -724,7 +726,7 @@ TEST(ServiceTest, ResultCacheServesRepeatedSpecsWithoutExecuting) {
   const uint64_t client = svc.RegisterClient();
   auto first = svc.Submit(client, spec);
   ASSERT_OK(first.status());
-  Result<exec::ScanResult> cold = first->get();
+  Result<QueryService::Answer> cold = first->get();
   ASSERT_OK(cold.status());
   svc.Flush();
   const uint64_t executed_cold = svc.stats().queries_executed;
@@ -733,7 +735,7 @@ TEST(ServiceTest, ResultCacheServesRepeatedSpecsWithoutExecuting) {
   // bit-identical, with no new execution.
   auto second = svc.Submit(client, spec);
   ASSERT_OK(second.status());
-  Result<exec::ScanResult> warm = second->get();
+  Result<QueryService::Answer> warm = second->get();
   ASSERT_OK(warm.status());
   EXPECT_TRUE(ScanOutputsEqual(*warm, *cold));
   auto snap = table->Snapshot();
@@ -773,7 +775,7 @@ TEST(ServiceTest, IdenticalSpecsInOneWindowExecuteOnce) {
   auto solo = exec::Scan(*snap, spec);
   ASSERT_OK(solo.status());
   for (auto& future : futures) {
-    Result<exec::ScanResult> result = future.get();
+    Result<QueryService::Answer> result = future.get();
     ASSERT_OK(result.status());
     EXPECT_TRUE(ScanOutputsEqual(*result, *solo));
   }
@@ -809,12 +811,12 @@ TEST(ServiceTest, NestedBandsEvaluateOverContainingSelection) {
 
   auto snap = table->Snapshot();
   ASSERT_OK(snap.status());
-  Result<exec::ScanResult> wide_batched = wide_future->get();
+  Result<QueryService::Answer> wide_batched = wide_future->get();
   ASSERT_OK(wide_batched.status());
   auto wide_solo = exec::Scan(*snap, wide);
   ASSERT_OK(wide_solo.status());
   EXPECT_TRUE(ScanOutputsEqual(*wide_batched, *wide_solo));
-  Result<exec::ScanResult> narrow_batched = narrow_future->get();
+  Result<QueryService::Answer> narrow_batched = narrow_future->get();
   ASSERT_OK(narrow_batched.status());
   auto narrow_solo = exec::Scan(*snap, narrow);
   ASSERT_OK(narrow_solo.status());
@@ -899,8 +901,8 @@ TEST(ServiceTest, DeadlineMissedDuringExecutionIsDeadlineExceeded) {
     std::this_thread::sleep_for(std::chrono::milliseconds(900));
     release.store(true, std::memory_order_release);
   });
-  Result<exec::ScanResult> ra = fa->get();
-  Result<exec::ScanResult> rb = fb->get();
+  Result<QueryService::Answer> ra = fa->get();
+  Result<QueryService::Answer> rb = fb->get();
   releaser.join();
 
   // Pre-fix, both came back OK: the deadline was only checked at pickup.
