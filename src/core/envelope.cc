@@ -21,7 +21,7 @@ const AnyColumn* PlainPart(const CompressedNode& node, const char* name) {
 }
 
 /// The part as a composed sub-node, or nullptr.
-const CompressedNode* SubPart(const CompressedNode& node, const char* name) {
+const CompressedNode* Composed(const CompressedNode& node, const char* name) {
   const CompressedPart* part = FindPart(node, name);
   return part != nullptr && !part->is_terminal() ? part->sub.get() : nullptr;
 }
@@ -57,11 +57,89 @@ Status CheckNs(const CompressedNode& ns, const PackedColumn& packed,
   return Status::OK();
 }
 
-bool IsPatchedNs(const CompressedNode* node) {
-  return node != nullptr && node->scheme.kind == SchemeKind::kPatched &&
-         NsPayload(SubPart(*node, "base")) != nullptr &&
-         PlainPart(*node, "patch_positions") != nullptr &&
-         PlainPart(*node, "patch_values") != nullptr;
+// The shape grammar reads nodes and descriptors through overload pairs: a
+// composed part is a child descriptor (Composed), a terminal plain part one
+// the descriptor leaves uncomposed (Plain), NS{packed} a bare NS (IsNsLeaf).
+
+const SchemeDescriptor* Composed(const SchemeDescriptor& desc,
+                                 const char* part) {
+  const auto it = desc.children.find(part);
+  return it == desc.children.end() ? nullptr : &it->second;
+}
+
+bool Plain(const CompressedNode& node, const char* part) {
+  return PlainPart(node, part) != nullptr;
+}
+
+bool Plain(const SchemeDescriptor& desc, const char* part) {
+  return Composed(desc, part) == nullptr;
+}
+
+bool IsNsLeaf(const CompressedNode* node) { return NsPayload(node) != nullptr; }
+
+bool IsNsLeaf(const SchemeDescriptor* desc) {
+  return desc != nullptr && desc->kind == SchemeKind::kNs &&
+         desc->children.empty();
+}
+
+const SchemeDescriptor& Scheme(const CompressedNode& node) {
+  return node.scheme;
+}
+
+const SchemeDescriptor& Scheme(const SchemeDescriptor& desc) { return desc; }
+
+/// PATCHED{base: NS} with plain patch lists.
+template <typename Tree>
+bool IsPatchedNs(const Tree* tree) {
+  return tree != nullptr && Scheme(*tree).kind == SchemeKind::kPatched &&
+         IsNsLeaf(Composed(*tree, "base")) &&
+         Plain(*tree, "patch_positions") && Plain(*tree, "patch_values");
+}
+
+/// The fused shape `tree`'s parts spell (FusedShape documents each).
+template <typename Tree>
+FusedShape MatchShape(const Tree& tree) {
+  const SchemeDescriptor& scheme = Scheme(tree);
+  switch (scheme.kind) {
+    case SchemeKind::kNs:
+      return IsNsLeaf(&tree) ? FusedShape::kNs : FusedShape::kGeneric;
+    case SchemeKind::kRpe: {
+      const Tree* positions = Composed(tree, "positions");
+      if (positions == nullptr ||
+          Scheme(*positions).kind != SchemeKind::kDelta) {
+        break;
+      }
+      if (Plain(*positions, "deltas") && Plain(tree, "values")) {
+        return FusedShape::kRle;
+      }
+      if (IsNsLeaf(Composed(*positions, "deltas"))) return FusedShape::kRleNs;
+      break;
+    }
+    case SchemeKind::kModeled: {
+      if (scheme.args.size() != 1 ||
+          scheme.args[0].kind != SchemeKind::kStep || !Plain(tree, "refs")) {
+        break;
+      }
+      const Tree* residual = Composed(tree, "residual");
+      if (IsNsLeaf(residual)) return FusedShape::kFor;
+      if (IsPatchedNs(residual)) return FusedShape::kPfor;
+      break;
+    }
+    case SchemeKind::kPatched:
+      if (IsPatchedNs(&tree)) return FusedShape::kPatchedNs;
+      break;
+    case SchemeKind::kDelta: {
+      const Tree* zz = Composed(tree, "deltas");
+      if (zz == nullptr || Scheme(*zz).kind != SchemeKind::kZigZag) break;
+      const Tree* recoded = Composed(*zz, "recoded");
+      if (IsNsLeaf(recoded)) return FusedShape::kDeltaZigZagNs;
+      if (IsPatchedNs(recoded)) return FusedShape::kDeltaZigZagPatchedNs;
+      break;
+    }
+    default:
+      break;
+  }
+  return FusedShape::kGeneric;
 }
 
 /// Validates a PATCHED{base: NS} node (IsPatchedNs) of `n` values of `type`.
@@ -70,7 +148,7 @@ Status ViewPatchedNs(const CompressedNode& patched, TypeId type, uint64_t n,
   if (patched.out_type != type || patched.n != n) {
     return Status::Corruption("PATCHED part differs from the envelope");
   }
-  const CompressedNode& base = *SubPart(patched, "base");
+  const CompressedNode& base = *Composed(patched, "base");
   view->packed = NsPayload(&base);
   RECOMP_RETURN_NOT_OK(CheckNs(base, *view->packed, type, n));
   PatchView& patches = view->patches;
@@ -109,6 +187,7 @@ Result<PartView> ViewPart(const CompressedNode& node, const char* name,
   return view;
 }
 
+/// RPE: values and exclusive run ends, equally many.
 Status ViewRuns(const CompressedNode& node, EnvelopeView* view) {
   RECOMP_ASSIGN_OR_RETURN(const PartView values,
                           ViewPart(node, "values", node.out_type));
@@ -118,25 +197,6 @@ Status ViewRuns(const CompressedNode& node, EnvelopeView* view) {
     return Status::Corruption("RPE values/positions arity mismatch");
   }
   view->runs = RunsView{values, ends};
-  if (!TypeIdIsUnsigned(node.out_type) || ends.sub == nullptr ||
-      ends.sub->scheme.kind != SchemeKind::kDelta) {
-    return Status::OK();
-  }
-  // RLE: the ends are DELTA-coded run lengths.
-  const CompressedNode& delta = *ends.sub;
-  if (const AnyColumn* lengths = PlainPart(delta, "deltas");
-      lengths != nullptr && values.column != nullptr) {
-    view->shape = FusedShape::kRle;
-    view->lengths = lengths;
-    if (lengths->type() != TypeId::kUInt32 || lengths->size() != delta.n) {
-      return Status::Corruption("RLE run lengths differ from the envelope");
-    }
-  } else if (const CompressedNode* ns = SubPart(delta, "deltas");
-             NsPayload(ns) != nullptr) {
-    view->shape = FusedShape::kRleNs;
-    view->packed = NsPayload(ns);
-    return CheckNs(*ns, *view->packed, TypeId::kUInt32, delta.n);
-  }
   return Status::OK();
 }
 
@@ -154,56 +214,63 @@ Status ViewDict(const CompressedNode& node, EnvelopeView* view) {
                  node.n);
 }
 
-/// MODELED(STEP){refs: plain, residual: NS | PATCHED{base: NS}}.
-Status ViewFor(const CompressedNode& node, EnvelopeView* view) {
-  const AnyColumn* refs = PlainPart(node, "refs");
-  const CompressedNode* residual = SubPart(node, "residual");
-  if (node.scheme.args.size() != 1 ||
-      node.scheme.args[0].kind != SchemeKind::kStep || refs == nullptr) {
-    return Status::OK();
+/// Binds and checks the parts of the fused shape the grammar matched; RLE's
+/// run parts are already checked (ViewRuns).
+Status ViewShape(const CompressedNode& node, EnvelopeView* view) {
+  switch (view->shape) {
+    case FusedShape::kNs:
+      view->packed = NsPayload(&node);
+      return CheckNs(node, *view->packed, node.out_type, node.n);
+    case FusedShape::kRle: {
+      // The run lengths: the plain deltas of the run ends.
+      const CompressedNode& delta = *Composed(node, "positions");
+      view->lengths = PlainPart(delta, "deltas");
+      if (view->lengths->type() != TypeId::kUInt32 ||
+          view->lengths->size() != delta.n) {
+        return Status::Corruption("RLE run lengths differ from the envelope");
+      }
+      return Status::OK();
+    }
+    case FusedShape::kRleNs: {
+      const CompressedNode& delta = *Composed(node, "positions");
+      const CompressedNode& ns = *Composed(delta, "deltas");
+      view->packed = NsPayload(&ns);
+      return CheckNs(ns, *view->packed, TypeId::kUInt32, delta.n);
+    }
+    case FusedShape::kFor:
+    case FusedShape::kPfor: {
+      view->refs = PlainPart(node, "refs");
+      view->ell = node.scheme.args[0].params.segment_length;
+      if (view->refs->type() != node.out_type || view->ell == 0 ||
+          view->refs->size() != bits::CeilDiv(node.n, view->ell)) {
+        return Status::Corruption("FOR references disagree with the envelope");
+      }
+      const CompressedNode& residual = *Composed(node, "residual");
+      if (view->shape == FusedShape::kPfor) {
+        return ViewPatchedNs(residual, node.out_type, node.n, view);
+      }
+      view->packed = NsPayload(&residual);
+      return CheckNs(residual, *view->packed, node.out_type, node.n);
+    }
+    case FusedShape::kPatchedNs:
+      return ViewPatchedNs(node, node.out_type, node.n, view);
+    case FusedShape::kDeltaZigZagNs:
+    case FusedShape::kDeltaZigZagPatchedNs: {
+      const CompressedNode& zz = *Composed(node, "deltas");
+      if (zz.out_type != node.out_type || zz.n != node.n) {
+        return Status::Corruption("ZIGZAG part differs from the envelope");
+      }
+      const CompressedNode& recoded = *Composed(zz, "recoded");
+      if (view->shape == FusedShape::kDeltaZigZagPatchedNs) {
+        return ViewPatchedNs(recoded, node.out_type, node.n, view);
+      }
+      view->packed = NsPayload(&recoded);
+      return CheckNs(recoded, *view->packed, node.out_type, node.n);
+    }
+    case FusedShape::kGeneric:
+      break;
   }
-  if (NsPayload(residual) != nullptr) {
-    view->shape = FusedShape::kFor;
-  } else if (IsPatchedNs(residual)) {
-    view->shape = FusedShape::kPfor;
-  } else {
-    return Status::OK();
-  }
-  view->refs = refs;
-  view->ell = node.scheme.args[0].params.segment_length;
-  if (refs->type() != node.out_type || view->ell == 0 ||
-      refs->size() != bits::CeilDiv(node.n, view->ell)) {
-    return Status::Corruption("FOR references disagree with the envelope");
-  }
-  if (view->shape == FusedShape::kPfor) {
-    return ViewPatchedNs(*residual, node.out_type, node.n, view);
-  }
-  view->packed = NsPayload(residual);
-  return CheckNs(*residual, *view->packed, node.out_type, node.n);
-}
-
-/// DELTA{deltas: ZIGZAG{recoded: NS | PATCHED{base: NS}}}.
-Status ViewDeltaZigZag(const CompressedNode& node, EnvelopeView* view) {
-  const CompressedNode* zz = SubPart(node, "deltas");
-  if (zz == nullptr || zz->scheme.kind != SchemeKind::kZigZag) {
-    return Status::OK();
-  }
-  const CompressedNode* recoded = SubPart(*zz, "recoded");
-  if (NsPayload(recoded) != nullptr) {
-    view->shape = FusedShape::kDeltaZigZagNs;
-  } else if (IsPatchedNs(recoded)) {
-    view->shape = FusedShape::kDeltaZigZagPatchedNs;
-  } else {
-    return Status::OK();
-  }
-  if (zz->out_type != node.out_type || zz->n != node.n) {
-    return Status::Corruption("ZIGZAG part differs from the envelope");
-  }
-  if (view->shape == FusedShape::kDeltaZigZagPatchedNs) {
-    return ViewPatchedNs(*recoded, node.out_type, node.n, view);
-  }
-  view->packed = NsPayload(recoded);
-  return CheckNs(*recoded, *view->packed, node.out_type, node.n);
+  return Status::OK();
 }
 
 }  // namespace
@@ -213,7 +280,8 @@ Result<EnvelopeView> ViewEnvelope(const CompressedNode& node) {
     return Status::Corruption("implausible row count");
   }
   EnvelopeView view;
-  const bool is_unsigned = TypeIdIsUnsigned(node.out_type);
+  // The kernels decode unsigned types only.
+  if (TypeIdIsUnsigned(node.out_type)) view.shape = MatchShape(node);
   switch (node.scheme.kind) {
     case SchemeKind::kId:
       view.stored_plain = PlainPart(node, "data");
@@ -229,31 +297,20 @@ Result<EnvelopeView> ViewEnvelope(const CompressedNode& node) {
     case SchemeKind::kDict:
       RECOMP_RETURN_NOT_OK(ViewDict(node, &view));
       break;
-    case SchemeKind::kNs:
-      view.packed = is_unsigned ? NsPayload(&node) : nullptr;
-      if (view.packed != nullptr) {
-        view.shape = FusedShape::kNs;
-        RECOMP_RETURN_NOT_OK(
-            CheckNs(node, *view.packed, node.out_type, node.n));
-      }
-      break;
-    case SchemeKind::kModeled:
-      if (is_unsigned) RECOMP_RETURN_NOT_OK(ViewFor(node, &view));
-      break;
-    case SchemeKind::kPatched:
-      if (is_unsigned && IsPatchedNs(&node)) {
-        view.shape = FusedShape::kPatchedNs;
-        RECOMP_RETURN_NOT_OK(
-            ViewPatchedNs(node, node.out_type, node.n, &view));
-      }
-      break;
-    case SchemeKind::kDelta:
-      if (is_unsigned) RECOMP_RETURN_NOT_OK(ViewDeltaZigZag(node, &view));
-      break;
     default:
       break;
   }
+  RECOMP_RETURN_NOT_OK(ViewShape(node, &view));
   return view;
+}
+
+FusedShape ClassifyFusedShape(const CompressedNode& node) {
+  const Result<EnvelopeView> view = ViewEnvelope(node);
+  return view.ok() ? view->shape : FusedShape::kGeneric;
+}
+
+FusedShape ClassifyFusedDescriptor(const SchemeDescriptor& desc) {
+  return MatchShape(desc);
 }
 
 const AnyColumn* StoredPlainData(const CompressedNode& node) {

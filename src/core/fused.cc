@@ -15,24 +15,6 @@ namespace recomp {
 
 namespace {
 
-const SchemeDescriptor* Child(const SchemeDescriptor& desc,
-                              const std::string& part) {
-  auto it = desc.children.find(part);
-  return it == desc.children.end() ? nullptr : &it->second;
-}
-
-bool IsNsLeafDesc(const SchemeDescriptor* desc) {
-  return desc != nullptr && desc->kind == SchemeKind::kNs &&
-         desc->children.empty();
-}
-
-bool IsPatchedNsDesc(const SchemeDescriptor* desc) {
-  return desc != nullptr && desc->kind == SchemeKind::kPatched &&
-         IsNsLeafDesc(Child(*desc, "base")) &&
-         Child(*desc, "patch_positions") == nullptr &&
-         Child(*desc, "patch_values") == nullptr;
-}
-
 /// Decode counters by FusedShape × dispatch path, resolved once: a fused
 /// decode costs two sharded relaxed adds, nothing more. The counters exist
 /// even before the first decode (GetCounter creates on lookup), so a
@@ -100,49 +82,6 @@ const char* FusedShapeName(FusedShape shape) {
       return "generic";
   }
   return "unknown";
-}
-
-FusedShape ClassifyFusedShape(const CompressedNode& node) {
-  const Result<EnvelopeView> view = ViewEnvelope(node);
-  return view.ok() ? view->shape : FusedShape::kGeneric;
-}
-
-FusedShape ClassifyFusedDescriptor(const SchemeDescriptor& desc) {
-  if (desc.kind == SchemeKind::kNs && desc.children.empty()) {
-    return FusedShape::kNs;
-  }
-
-  if (desc.kind == SchemeKind::kRpe) {
-    const SchemeDescriptor* positions = Child(desc, "positions");
-    if (positions != nullptr && positions->kind == SchemeKind::kDelta) {
-      const SchemeDescriptor* deltas = Child(*positions, "deltas");
-      if (deltas == nullptr && Child(desc, "values") == nullptr) {
-        return FusedShape::kRle;
-      }
-      if (IsNsLeafDesc(deltas)) return FusedShape::kRleNs;
-    }
-  }
-
-  if (desc.kind == SchemeKind::kModeled && desc.args.size() == 1 &&
-      desc.args[0].kind == SchemeKind::kStep &&
-      Child(desc, "refs") == nullptr) {
-    const SchemeDescriptor* residual = Child(desc, "residual");
-    if (IsNsLeafDesc(residual)) return FusedShape::kFor;
-    if (IsPatchedNsDesc(residual)) return FusedShape::kPfor;
-  }
-
-  if (IsPatchedNsDesc(&desc)) return FusedShape::kPatchedNs;
-
-  if (desc.kind == SchemeKind::kDelta) {
-    const SchemeDescriptor* zz = Child(desc, "deltas");
-    if (zz != nullptr && zz->kind == SchemeKind::kZigZag) {
-      const SchemeDescriptor* recoded = Child(*zz, "recoded");
-      if (IsNsLeafDesc(recoded)) return FusedShape::kDeltaZigZagNs;
-      if (IsPatchedNsDesc(recoded)) return FusedShape::kDeltaZigZagPatchedNs;
-    }
-  }
-
-  return FusedShape::kGeneric;
 }
 
 namespace {

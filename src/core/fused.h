@@ -42,9 +42,11 @@ const char* FusedShapeName(FusedShape shape);
 /// kernel decodes it; FusedDecompress returns the view's error).
 FusedShape ClassifyFusedShape(const CompressedNode& node);
 
-/// Descriptor-tree analog of ClassifyFusedShape: predicts the kernel a
-/// column compressed with `desc` would decode through, before any data is
-/// compressed. The analyzer's cost model uses this to discount shapes that
+/// Predicts the kernel a column compressed with `desc` would decode
+/// through, before any data is compressed: the envelope view's shape
+/// grammar (core/envelope.h) read over the descriptor tree, so it names
+/// exactly the shape ClassifyFusedShape names for an unsigned column of that
+/// descriptor. The analyzer's cost model uses this to discount shapes that
 /// decode through the fused SIMD cascade.
 FusedShape ClassifyFusedDescriptor(const SchemeDescriptor& desc);
 

@@ -5,9 +5,7 @@
 
 #include "core/envelope.h"
 #include "exec/scan.h"
-#include "ops/pack.h"
 #include "schemes/scheme_internal.h"
-#include "util/bits.h"
 
 namespace recomp::exec {
 
@@ -41,16 +39,11 @@ uint64_t FoldValues(const Column<T>& values, AggregateOp op) {
 template <typename T>
 Result<AggregateResult> AggregateRuns(const RunsView& runs, uint64_t n,
                                       AggregateOp op) {
-  AnyColumn values_storage, ends_storage;
-  RECOMP_ASSIGN_OR_RETURN(const Column<T>* values,
-                          runs.values.Read<T>(&values_storage));
-  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* ends,
-                          runs.ends.Read<uint32_t>(&ends_storage));
   AggregateResult result;
   result.strategy = Strategy::kRleDot;
   result.value = FoldStart(op);
   RECOMP_RETURN_NOT_OK(
-      ForEachRun(*values, *ends, n, [&](uint64_t begin, uint64_t end, T v) {
+      ForEachRun<T>(runs, n, [&](uint64_t begin, uint64_t end, T v) {
         Fold(op, static_cast<uint64_t>(v), end - begin, &result.value);
       }));
   return result;
@@ -59,26 +52,24 @@ Result<AggregateResult> AggregateRuns(const RunsView& runs, uint64_t n,
 template <typename T>
 Result<AggregateResult> AggregateStep(const EnvelopeView& view, uint64_t n,
                                       AggregateOp op) {
-  const Column<T>& refs = view.refs->As<T>();
-  const uint64_t mask = bits::LowMask64(view.packed->bit_width);
+  ForSegments<T> segments(view, n);
   AggregateResult result;
   result.strategy = Strategy::kStepMass;
   result.value = FoldStart(op);
-  RECOMP_ASSIGN_OR_RETURN(Column<T> residuals, ops::Unpack<T>(*view.packed));
-  for (uint64_t seg = 0; seg < refs.size(); ++seg) {
-    const uint64_t begin = seg * view.ell;
-    const uint64_t end = std::min<uint64_t>(begin + view.ell, n);
-    const T ref = refs[seg];
-    if (op == AggregateOp::kSum && !ForWindowWraps<T>(ref, mask)) {
+  for (uint64_t s = 0; s < segments.size(); ++s) {
+    const ForSegment<T> segment = segments[s];
+    const uint64_t len = segment.end - segment.begin;
+    RECOMP_ASSIGN_OR_RETURN(const T* residuals, segments.Residuals(segment));
+    if (op == AggregateOp::kSum && segment.bounded) {
       // Σ ref·|segment| plus the residual mass.
-      result.value += static_cast<uint64_t>(ref) * (end - begin);
-      for (uint64_t i = begin; i < end; ++i) {
+      result.value += segment.lo * len;
+      for (uint64_t i = 0; i < len; ++i) {
         result.value += static_cast<uint64_t>(residuals[i]);
       }
       continue;
     }
-    for (uint64_t i = begin; i < end; ++i) {
-      Fold(op, static_cast<T>(ref + residuals[i]), 1, &result.value);
+    for (uint64_t i = 0; i < len; ++i) {
+      Fold(op, static_cast<T>(segment.ref + residuals[i]), 1, &result.value);
     }
   }
   return result;
@@ -86,34 +77,32 @@ Result<AggregateResult> AggregateStep(const EnvelopeView& view, uint64_t n,
 
 template <typename T>
 Result<AggregateResult> AggregateDict(const DictView& dict, AggregateOp op) {
-  AnyColumn dict_storage, codes_storage;
-  RECOMP_ASSIGN_OR_RETURN(const Column<T>* dictionary,
-                          dict.dictionary.Read<T>(&dict_storage));
-  RECOMP_ASSIGN_OR_RETURN(const Column<uint32_t>* codes,
-                          dict.codes.Read<uint32_t>(&codes_storage));
-  RECOMP_RETURN_NOT_OK(CheckDictionaryOrder(*dictionary));
-  AggregateResult result;
-  if (op == AggregateOp::kSum) {
-    result.strategy = Strategy::kDictSum;
-    for (const uint32_t c : *codes) {
-      if (c >= dictionary->size()) {
-        return Status::Corruption("DICT code exceeds dictionary");
+  return ReadDict<T>(dict, [&](const Column<T>& dictionary,
+                               const Column<uint32_t>& codes)
+                               -> Result<AggregateResult> {
+    AggregateResult result;
+    if (op == AggregateOp::kSum) {
+      result.strategy = Strategy::kDictSum;
+      for (const uint32_t c : codes) {
+        if (c >= dictionary.size()) {
+          return Status::Corruption("DICT code exceeds dictionary");
+        }
+        result.value += static_cast<uint64_t>(dictionary[c]);
       }
-      result.value += static_cast<uint64_t>((*dictionary)[c]);
+      return result;
     }
+    // The dictionary is sorted: extrema of codes give extrema of values
+    // without touching the dictionary per row (the largest code bounds all).
+    result.strategy = Strategy::kDictExtrema;
+    const auto [min_code, max_code] =
+        std::minmax_element(codes.begin(), codes.end());
+    if (*max_code >= dictionary.size()) {
+      return Status::Corruption("DICT code exceeds dictionary");
+    }
+    result.value = static_cast<uint64_t>(
+        dictionary[op == AggregateOp::kMin ? *min_code : *max_code]);
     return result;
-  }
-  // The dictionary is sorted: extrema of codes give extrema of values
-  // without touching the dictionary per row (the largest code bounds all).
-  result.strategy = Strategy::kDictExtrema;
-  const auto [min_code, max_code] =
-      std::minmax_element(codes->begin(), codes->end());
-  if (*max_code >= dictionary->size()) {
-    return Status::Corruption("DICT code exceeds dictionary");
-  }
-  result.value = static_cast<uint64_t>(
-      (*dictionary)[op == AggregateOp::kMin ? *min_code : *max_code]);
-  return result;
+  });
 }
 
 // The chunked overloads are one-aggregate scans: the shared driver

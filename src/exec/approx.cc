@@ -1,11 +1,10 @@
 #include "exec/approx.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/envelope.h"
-#include "ops/pack.h"
 #include "schemes/scheme_internal.h"
-#include "util/bits.h"
 
 namespace recomp::exec {
 
@@ -18,38 +17,33 @@ Result<ApproxSum> RefineSum(const CompressedColumn& compressed,
         "approximate answering requires a MODELED(STEP){residual: NS} "
         "envelope");
   }
-  const uint64_t mask = bits::LowMask64(view.packed->bit_width);
   return internal::DispatchUnsignedTypeId(
       node.out_type, [&](auto tag) -> Result<ApproxSum> {
         using T = typename decltype(tag)::type;
-        const Column<T>& refs = view.refs->As<T>();
+        ForSegments<T> segments(view, node.n);
         ApproxSum result;
-        result.total_segments = refs.size();
-        result.refined_segments = std::min(refined_segments, refs.size());
+        result.total_segments = segments.size();
+        result.refined_segments = std::min(refined_segments, segments.size());
 
         uint64_t lower = 0;
         uint64_t upper = 0;
-        // Sized by rows: ell is input.
-        Column<T> buffer(std::min(view.ell, node.n));
-        for (uint64_t seg = 0; seg < refs.size(); ++seg) {
-          const uint64_t begin = seg * view.ell;
-          const uint64_t end = std::min<uint64_t>(begin + view.ell, node.n);
-          const uint64_t len = end - begin;
-          const T ref = refs[seg];
-          if (seg < result.refined_segments) {
-            RECOMP_RETURN_NOT_OK(
-                ops::UnpackRange(*view.packed, begin, end, buffer.data()));
+        for (uint64_t s = 0; s < segments.size(); ++s) {
+          const ForSegment<T> segment = segments[s];
+          const uint64_t len = segment.end - segment.begin;
+          if (s < result.refined_segments) {
+            RECOMP_ASSIGN_OR_RETURN(const T* residuals,
+                                    segments.Residuals(segment));
             uint64_t mass = 0;
             for (uint64_t i = 0; i < len; ++i) {
-              mass += static_cast<T>(ref + buffer[i]);
+              mass += static_cast<T>(segment.ref + residuals[i]);
             }
             lower += mass;
             upper += mass;
-          } else if (ForWindowWraps<T>(ref, mask)) {
+          } else if (!segment.bounded) {
             upper += static_cast<uint64_t>(std::numeric_limits<T>::max()) * len;
           } else {
-            lower += static_cast<uint64_t>(ref) * len;
-            upper += (static_cast<uint64_t>(ref) + mask) * len;
+            lower += segment.lo * len;
+            upper += segment.hi * len;
           }
         }
         result.lower = lower;

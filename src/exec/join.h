@@ -2,10 +2,12 @@
 //
 // The paper's §II-B notes the model view "can be used to speed up selections
 // (e.g. range queries) and joins". A semi-join against a sorted key set
-// (the typical FK ⋉ dimension probe) pushes down the same way selections
-// do: DICT probes each *dictionary entry* once instead of each row, RPE
-// probes each *run value* once, and MODELED(STEP) skips segments whose
-// [ref, ref + 2^w) window contains no key at all.
+// (the typical FK ⋉ dimension probe) is a selection whose predicate is the
+// key set (KeySetPredicate, exec/selection.h), so it pushes down through
+// the same per-shape filter selections use: DICT probes each *dictionary
+// entry* once instead of each row, RPE probes each *run value* once,
+// MODELED(STEP) skips segments whose [ref, ref + 2^w) window contains no key
+// at all, and stored-plain data is probed in place.
 
 #ifndef RECOMP_EXEC_JOIN_H_
 #define RECOMP_EXEC_JOIN_H_
@@ -22,10 +24,10 @@ namespace recomp::exec {
 struct SemiJoinResult {
   /// Ascending positions whose value appears in the key set.
   Column<uint32_t> positions;
-  /// kDictProbe, kRleRuns, kStepPruned, or kDecompressScan.
+  /// kDictProbe, kRleRuns, kStepPruned, kPlainScan, or kDecompressScan.
   Strategy strategy = Strategy::kDecompressScan;
   /// Number of key-set membership probes actually performed (rows for the
-  /// fallback; dictionary entries / runs / decoded values for pushdowns).
+  /// scans; dictionary entries / runs / decoded values for pushdowns).
   uint64_t probes = 0;
 };
 

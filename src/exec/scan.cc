@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -115,12 +114,27 @@ struct ScanMetrics {
   }
 };
 
-Column<uint32_t> IntersectSorted(const Column<uint32_t>& a,
-                                 const Column<uint32_t>& b) {
-  Column<uint32_t> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
+/// Keeps the rows of `sel` (sorted, global) that are also among the sorted
+/// chunk-local hits [first, last) lifted by `base`. An intersection only
+/// shrinks, so it is written over `sel` itself.
+void IntersectInPlace(Column<uint32_t>::const_iterator first,
+                      Column<uint32_t>::const_iterator last, uint64_t base,
+                      Column<uint32_t>* sel) {
+  uint64_t kept = 0;
+  for (uint64_t k = 0; k < sel->size() && first != last;) {
+    const uint32_t row = (*sel)[k];
+    const uint32_t hit = static_cast<uint32_t>(base + *first);
+    if (row < hit) {
+      ++k;
+    } else if (hit < row) {
+      ++first;
+    } else {
+      (*sel)[kept++] = row;
+      ++k;
+      ++first;
+    }
+  }
+  sel->resize(kept);
 }
 
 /// The unfiltered aggregate: zone maps answer what they can (min/max of
@@ -715,7 +729,11 @@ Result<ScanResult> RunQuery(const Bound& bound, const ScanSpec& spec,
 
     // Sequentially, in range order: intersect the chunk hits, clipped to
     // each live range, in spec order — positions stay sorted and every byte
-    // of this result is identical for any thread count.
+    // of this result is identical for any thread count. Each range's rows
+    // are kept only up to the limit, then copied once into positions
+    // allocated at their final size.
+    std::vector<Column<uint32_t>> kept;
+    uint64_t total = 0;
     const uint64_t limit = spec.limit();
     for (uint64_t r = 0; r < plan.num_ranges(); ++r) {
       if (plan.dead[r]) continue;
@@ -737,33 +755,30 @@ Result<ScanResult> RunQuery(const Bound& bound, const ScanSpec& spec,
             static_cast<uint32_t>(begin - base));
         const auto last = std::lower_bound(
             first, cached.positions.end(), static_cast<uint32_t>(end - base));
-        Column<uint32_t> hits;
-        hits.reserve(last - first);
-        for (auto it = first; it != last; ++it) {
-          hits.push_back(static_cast<uint32_t>(base + *it));
+        if (constrained) {
+          IntersectInPlace(first, last, base, &sel);
+          continue;
         }
-        if (!constrained) {
-          sel = std::move(hits);
-          constrained = true;
-        } else {
-          sel = IntersectSorted(sel, hits);
-        }
+        sel.resize(last - first);
+        std::transform(first, last, sel.begin(), [base](uint32_t p) {
+          return static_cast<uint32_t>(base + p);
+        });
+        constrained = true;
       }
+      // With every filter containing it, the whole range qualifies.
+      const uint64_t matched = constrained ? sel.size() : end - begin;
+      result.rows_matched += matched;
+      sel.resize(std::min(matched, limit - total));
       if (!constrained) {
-        // Every filter was contained: the whole range qualifies. Count it
-        // whole and materialize identity positions only up to the limit.
-        result.rows_matched += end - begin;
-        for (uint64_t row = begin;
-             row < end && result.positions.size() < limit; ++row) {
-          result.positions.push_back(static_cast<uint32_t>(row));
-        }
-        continue;
+        std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin));
       }
-      result.rows_matched += sel.size();
-      for (const uint32_t p : sel) {
-        if (result.positions.size() >= limit) break;
-        result.positions.push_back(p);
-      }
+      total += sel.size();
+      if (!sel.empty()) kept.push_back(std::move(sel));
+    }
+    result.positions.reserve(total);
+    for (const Column<uint32_t>& rows : kept) {
+      result.positions.insert(result.positions.end(), rows.begin(),
+                              rows.end());
     }
   } else {
     result.rows_matched = bound.rows;
@@ -1034,15 +1049,6 @@ std::string CanonicalSpecKey(const ScanSpec& spec) {
   key.push_back('l');
   key.append(std::to_string(spec.limit()));
   return key;
-}
-
-uint64_t CanonicalSpecHash(const ScanSpec& spec) {
-  const std::string key = CanonicalSpecKey(spec);
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-  }
-  return h;
 }
 
 }  // namespace recomp::exec

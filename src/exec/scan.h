@@ -226,11 +226,6 @@ bool ScanOutputsEqual(const ScanResult& a, const ScanResult& b);
 /// (service/result_cache.h).
 std::string CanonicalSpecKey(const ScanSpec& spec);
 
-/// FNV-1a of CanonicalSpecKey — a compact spec fingerprint for logs and
-/// metrics labels; the cache itself keys on the full canonical string (a
-/// 64-bit hash alone could alias two specs).
-uint64_t CanonicalSpecHash(const ScanSpec& spec);
-
 }  // namespace recomp::exec
 
 #endif  // RECOMP_EXEC_SCAN_H_

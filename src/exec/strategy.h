@@ -15,7 +15,8 @@ namespace recomp::exec {
 enum class Strategy : int {
   kDecompressScan = 0,  ///< Fallback: materialize, then scan.
   kRleRuns = 1,         ///< RPE/RLE: operate on runs instead of rows.
-  kDictCodes = 2,       ///< DICT: compare codes instead of values.
+  kDictCodes = 2,       ///< DICT range filter: test each dictionary
+                        ///< entry once, then look codes up.
   kStepPruned = 3,      ///< MODELED(STEP): prune segments by the L∞ bound.
   kRleDot = 4,          ///< RLE aggregate: lengths · values.
   kStepMass = 5,        ///< FOR aggregate: Σ ref·|segment| + residual mass.
@@ -24,7 +25,8 @@ enum class Strategy : int {
   kNsDirect = 8,        ///< NS point access: in-place bit extraction.
   kForDirect = 9,       ///< FOR point access: ref + one residual extraction.
   kRpeBinarySearch = 10,///< RPE point access: binary search over positions.
-  kDictProbe = 11,      ///< DICT point access / semi-join dictionary probe.
+  kDictProbe = 11,      ///< DICT point access; the DICT filter under a
+                        ///< key set (semi-join), one probe per entry.
   kZoneMapOnly = 12,    ///< Chunked: answered from zone maps alone.
   kPlainScan = 13,      ///< ID: operate on the stored plain column in place
                         ///< (the streaming store's uncompressed tail chunks).

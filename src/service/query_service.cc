@@ -315,14 +315,8 @@ void QueryService::ExecuteWindow(std::vector<Pending>* batch) {
         results.push_back(executed[i].status());
         continue;
       }
-      exec::ScanResult& result = *executed[i];
-      if (result_cache_ != nullptr) {
-        // The cache charges a result its sizes (ApproxResultBytes): drop the
-        // slack its positions grew with, so it keeps what it is charged.
-        result.positions.shrink_to_fit();
-      }
       results.push_back(std::make_shared<const exec::ScanResult>(
-          std::move(result)));
+          std::move(*executed[i])));
       if (result_cache_ != nullptr) {
         result_cache_->Insert(version, run_keys[i], *results[i]);
       }

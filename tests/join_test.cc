@@ -1,15 +1,22 @@
 // Tests for the compressed-domain semi-join: every pushdown strategy must
-// equal the decompress-then-probe reference over randomized key sets.
+// equal the decompress-then-probe reference over randomized key sets, and
+// on every shape a semi-join on a band's values must select, and be served,
+// exactly as the range selection of that band.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "core/catalog.h"
 #include "core/pipeline.h"
 #include "exec/join.h"
+#include "exec/selection.h"
 #include "gen/generators.h"
 #include "test_util.h"
+#include "util/bits.h"
 #include "util/random.h"
 
 namespace recomp {
@@ -132,6 +139,174 @@ TEST(SemiJoinTest, RandomizedAgreement) {
       auto result = exec::SemiJoinCompressed(*compressed, keys);
       ASSERT_OK(result.status()) << desc.ToString();
       EXPECT_EQ(result->positions, expected) << desc.ToString();
+    }
+  }
+}
+
+/// What a semi-join's probes count on a shape.
+enum class Probes { kRows, kRuns, kEntries, kSegmentValues };
+
+struct AgreementShape {
+  const char* name;
+  SchemeDescriptor desc;
+  AnyColumn data;
+  exec::Strategy select;
+  exec::Strategy join;
+  Probes probes;
+};
+
+template <typename T>
+Column<T> MaskedValues(Rng& rng, uint64_t n, int width) {
+  Column<T> col(n);
+  for (auto& v : col) v = static_cast<T>(rng.Next() & bits::LowMask64(width));
+  return col;
+}
+
+/// Every shape of fused_fuzz_test.cc, plus RPE, DICT, DICT-NS and a
+/// stored-plain ID, over one random size, width and segment length.
+std::vector<AgreementShape> AgreementShapes(Rng& rng) {
+  using exec::Strategy;
+  const uint64_t n = 1 + rng.Below(4000);
+  const int width = static_cast<int>(rng.Below(33));
+  const uint64_t ell = uint64_t{16} << rng.Below(4);
+  Column<uint32_t> outliers = MaskedValues<uint32_t>(rng, n, 6);
+  for (auto& v : outliers) {
+    if (rng.Below(20) == 0) v = static_cast<uint32_t>(rng.Next());
+  }
+  Column<uint32_t> runs;
+  while (runs.size() < n) {
+    const uint64_t len = std::min<uint64_t>(1 + rng.Below(40), n - runs.size());
+    runs.insert(runs.end(), len,
+                static_cast<uint32_t>(rng.Next() & bits::LowMask64(width)));
+  }
+  Column<uint64_t> sorted(n);
+  uint64_t acc = rng.Next() >> 24;
+  for (auto& v : sorted) {
+    v = acc += rng.Below(1 + (uint64_t{1} << rng.Below(20)));
+  }
+  Column<uint32_t> few(n);
+  for (auto& v : few) v = static_cast<uint32_t>(rng.Below(64) * 1000003);
+  const SchemeDescriptor delta_zz_patched = Delta().With(
+      "deltas", ZigZag().With("recoded", Patched().With("base", Ns())));
+
+  const Strategy scan = Strategy::kDecompressScan;
+  const Strategy runs_s = Strategy::kRleRuns;
+  return {
+      {"NS", Ns(), MaskedValues<uint32_t>(rng, n, width), scan, scan,
+       Probes::kRows},
+      {"NS-u64", Ns(),
+       MaskedValues<uint64_t>(rng, n, static_cast<int>(rng.Below(65))), scan,
+       scan, Probes::kRows},
+      {"FOR", MakeFor(ell), MaskedValues<uint32_t>(rng, n, width),
+       Strategy::kStepPruned, Strategy::kStepPruned, Probes::kSegmentValues},
+      {"PFOR", MakePfor(ell), outliers, scan, scan, Probes::kRows},
+      {"DELTA-ZZ-NS", MakeDeltaNs(), MaskedValues<uint32_t>(rng, n, width),
+       scan, scan, Probes::kRows},
+      {"DELTA-ZZ-NS-u64", MakeDeltaNs(), sorted, scan, scan, Probes::kRows},
+      {"PATCHED-NS", Patched().With("base", Ns()), outliers, scan, scan,
+       Probes::kRows},
+      {"DELTA-ZZ-PATCHED-NS", delta_zz_patched, outliers, scan, scan,
+       Probes::kRows},
+      {"RLE", MakeRle(), runs, runs_s, runs_s, Probes::kRuns},
+      {"RLE-NS", MakeRleNs(), runs, runs_s, runs_s, Probes::kRuns},
+      {"RLE-DELTA", MakeRleDelta(), runs, runs_s, runs_s, Probes::kRuns},
+      {"RPE", Rpe(), runs, runs_s, runs_s, Probes::kRuns},
+      {"DICT", Dict(), few, Strategy::kDictCodes, Strategy::kDictProbe,
+       Probes::kEntries},
+      {"DICT-NS", MakeDictNs(), few, Strategy::kDictCodes,
+       Strategy::kDictProbe, Probes::kEntries},
+      {"ID", Id(), MaskedValues<uint32_t>(rng, n, width),
+       Strategy::kPlainScan, Strategy::kPlainScan, Probes::kRows},
+  };
+}
+
+/// The values a FOR envelope's segments decode when probed by `keys`: every
+/// segment but those whose window [ref, ref + 2^w - 1] stays inside T's
+/// range and holds no key.
+template <typename T>
+uint64_t ForProbedValues(const CompressedColumn& compressed,
+                         const Column<uint64_t>& keys) {
+  const CompressedNode& root = compressed.root();
+  const Column<T>& refs = root.parts.at("refs").column->As<T>();
+  const uint64_t mask =
+      bits::LowMask64(root.parts.at("residual").sub->scheme.params.width);
+  const uint64_t ell = root.scheme.args[0].params.segment_length;
+  uint64_t probed = 0;
+  for (uint64_t s = 0; s < refs.size(); ++s) {
+    const uint64_t lo = refs[s];
+    const bool wraps = mask > std::numeric_limits<T>::max() - lo;
+    const auto key = std::lower_bound(keys.begin(), keys.end(), lo);
+    if (wraps || (key != keys.end() && *key <= lo + mask)) {
+      probed += std::min(ell, root.n - s * ell);
+    }
+  }
+  return probed;
+}
+
+TEST(SemiJoinTest, AgreesWithSelectionOnEveryShape) {
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    Rng rng(7100 + seed);
+    for (const AgreementShape& shape : AgreementShapes(rng)) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " " << shape.name);
+      auto compressed = Compress(shape.data, shape.desc);
+      ASSERT_OK(compressed.status());
+      shape.data.VisitPlain([&](const auto& col) {
+        using T = typename std::decay_t<decltype(col)>::value_type;
+        // A band between two sampled values, keyed by its distinct values
+        // plus values the column does not hold.
+        exec::RangePredicate band{
+            static_cast<uint64_t>(col[rng.Below(col.size())]),
+            static_cast<uint64_t>(col[rng.Below(col.size())])};
+        if (band.lo > band.hi) std::swap(band.lo, band.hi);
+        Column<uint64_t> distinct(col.begin(), col.end());
+        std::sort(distinct.begin(), distinct.end());
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        Column<uint64_t> keys;
+        for (const uint64_t v : distinct) {
+          if (band.Matches(v)) keys.push_back(v);
+        }
+        for (int k = 0; k < 8; ++k) {
+          const uint64_t miss =
+              rng.Next() & bits::LowMask64(8 * static_cast<int>(sizeof(T)));
+          if (!std::binary_search(distinct.begin(), distinct.end(), miss)) {
+            keys.push_back(miss);
+          }
+        }
+        std::sort(keys.begin(), keys.end());
+        keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+        const auto select = exec::SelectCompressed(*compressed, band);
+        const auto join = exec::SemiJoinCompressed(*compressed, keys);
+        ASSERT_OK(select.status());
+        ASSERT_OK(join.status());
+        EXPECT_EQ(join->positions, select->positions);
+        EXPECT_EQ(select->stats.strategy, shape.select)
+            << exec::StrategyName(select->stats.strategy);
+        EXPECT_EQ(join->strategy, shape.join)
+            << exec::StrategyName(join->strategy);
+
+        uint64_t runs = 0;
+        for (uint64_t i = 0; i < col.size(); ++i) {
+          runs += i == 0 || col[i] != col[i - 1];
+        }
+        switch (shape.probes) {
+          case Probes::kRows:
+            EXPECT_EQ(join->probes, col.size());
+            break;
+          case Probes::kRuns:
+            EXPECT_EQ(join->probes, runs);
+            EXPECT_EQ(select->stats.runs_examined, runs);
+            break;
+          case Probes::kEntries:
+            EXPECT_EQ(join->probes, distinct.size());
+            break;
+          case Probes::kSegmentValues:
+            EXPECT_EQ(join->probes, ForProbedValues<T>(*compressed, keys));
+            break;
+        }
+      });
     }
   }
 }
