@@ -346,8 +346,9 @@ ScanSpec NestedSpec(uint64_t family, uint64_t generation) {
 /// the decoded-chunk cache disabled (budget 0, evicted between windows),
 /// generation g-1 is answered by the cross-window selection cache, and the
 /// only way generation g avoids re-decoding every chunk is subsuming into
-/// g-1's cached (position, value) pairs. Sharing ratio — evaluations per
-/// physical decode — is exactly what subsumption should move.
+/// g-1's cached positions, whose rows it re-reads by direct access.
+/// Sharing ratio — evaluations per physical decode — is exactly what
+/// subsumption should move.
 service::ServiceStats RunNestedConfig(bool subsume) {
   const Table& table = SharedTable();
   const auto snapshot = ValueOrDie(table.Snapshot(), "snapshot");

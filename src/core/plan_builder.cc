@@ -296,12 +296,12 @@ class Builder {
   Plan plan_;
 };
 
-}  // namespace
-
 Result<Plan> BuildDecompressionPlanForNode(const CompressedNode& node) {
   Builder builder;
   return builder.Build(node);
 }
+
+}  // namespace
 
 Result<Plan> BuildDecompressionPlan(const CompressedColumn& compressed) {
   return BuildDecompressionPlanForNode(compressed.root());

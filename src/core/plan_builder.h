@@ -19,9 +19,6 @@ namespace recomp {
 /// `compressed`.
 Result<Plan> BuildDecompressionPlan(const CompressedColumn& compressed);
 
-/// Node-level entry point used by the rewrite tests.
-Result<Plan> BuildDecompressionPlanForNode(const CompressedNode& node);
-
 }  // namespace recomp
 
 #endif  // RECOMP_CORE_PLAN_BUILDER_H_

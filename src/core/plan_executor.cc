@@ -201,8 +201,6 @@ Result<AnyColumn> EvalSchemeDecode(SchemeKind kind, const std::string& part,
   return GetScheme(kind)->Decompress(parts, SchemeDescriptor(kind), ctx);
 }
 
-}  // namespace
-
 Result<AnyColumn> ExecutePlanForNode(const Plan& plan,
                                      const CompressedNode& root) {
   RECOMP_RETURN_NOT_OK(plan.Validate());
@@ -282,6 +280,8 @@ Result<AnyColumn> ExecutePlanForNode(const Plan& plan,
   }
   return std::move(slots.back());
 }
+
+}  // namespace
 
 Result<AnyColumn> ExecutePlan(const Plan& plan,
                               const CompressedColumn& compressed) {

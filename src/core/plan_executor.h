@@ -18,10 +18,6 @@ namespace recomp {
 Result<AnyColumn> ExecutePlan(const Plan& plan,
                               const CompressedColumn& compressed);
 
-/// Node-level entry point.
-Result<AnyColumn> ExecutePlanForNode(const Plan& plan,
-                                     const CompressedNode& node);
-
 /// Resolves a slash-separated part path (e.g. "positions/deltas") to the
 /// terminal column it names.
 Result<const AnyColumn*> ResolvePartPath(const CompressedNode& node,

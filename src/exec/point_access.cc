@@ -131,11 +131,10 @@ Result<PointResult> GetAt(const ChunkedCompressedColumn& chunked, uint64_t row,
   return GetAt(chunk.column, row - chunk.zone.row_begin);
 }
 
-Result<Strategy> ReadChunkRows(const ChunkedCompressedColumn& chunked,
+Result<Strategy> ReadChunkRows(const CompressedColumn& chunk, uint64_t base,
                                const ChunkRun& run, const uint32_t* rows,
                                const AnyColumn* decoded, AnyColumn* out) {
-  const CompressedNode& node = chunked.chunk(run.chunk).column.root();
-  const uint64_t base = chunked.chunk(run.chunk).zone.row_begin;
+  const CompressedNode& node = chunk.root();
   const uint64_t count = run.end - run.begin;
   return DispatchUnsignedTypeId(out->type(), [&](auto tag) -> Result<Strategy> {
     using T = typename decltype(tag)::type;

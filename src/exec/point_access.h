@@ -11,8 +11,8 @@
 //
 // One per-chunk reader serves them all: it resolves a chunk's access path
 // once and reads a run of its rows straight into typed storage. GetAt and
-// GetAtBatch wrap it for row lookups; exec::Scan's gather calls it per
-// touched chunk (ReadChunkRows).
+// GetAtBatch wrap it for row lookups; exec::Scan's gather and its nested
+// bands call it per chunk (ReadChunkRows).
 
 #ifndef RECOMP_EXEC_POINT_ACCESS_H_
 #define RECOMP_EXEC_POINT_ACCESS_H_
@@ -84,14 +84,15 @@ std::vector<ChunkRun> ChunkRuns(const ChunkedCompressedColumn& chunked,
   return runs;
 }
 
-/// The scan's per-chunk gather step: reads global row rows[k] into
-/// (*out)[k] for every k of `run`, where `out` is a plain column of the
-/// chunked column's type. The rows come from `decoded`, the chunk's decoded
-/// values, when given; else through the chunk's direct access path, or one
-/// decode serving the whole run. Returns the strategy that served the run
-/// (kDecompressScan for both decoded cases). Tasks may fill disjoint runs of
-/// one `out` concurrently.
-Result<Strategy> ReadChunkRows(const ChunkedCompressedColumn& chunked,
+/// The scan's per-chunk read step, for its gather and its nested bands:
+/// reads row rows[k] - base of `chunk` into (*out)[k] for every k in
+/// [run.begin, run.end), where `out` is a plain column of the chunk's type.
+/// The rows come from `decoded`, the chunk's decoded values, when given;
+/// else through the chunk's direct access path, or one decode serving the
+/// whole run. Returns the strategy that served the run (kDecompressScan for
+/// both decoded cases). Tasks may fill disjoint runs of one `out`
+/// concurrently.
+Result<Strategy> ReadChunkRows(const CompressedColumn& chunk, uint64_t base,
                                const ChunkRun& run, const uint32_t* rows,
                                const AnyColumn* decoded, AnyColumn* out);
 

@@ -6,7 +6,6 @@
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -427,27 +426,6 @@ std::vector<uint64_t> ChunksRead(const Bound& bound, const Plan& plan) {
   return keys;
 }
 
-/// Keeps the entries of `values` inside `pred`, with each kept entry's
-/// chunk row: rows[i] for entry i, or i itself when `rows` is null.
-CachedSelection FilterSelection(const AnyColumn& values,
-                                const Column<uint32_t>* rows,
-                                const RangePredicate& pred) {
-  CachedSelection out;
-  out.selection.stats.strategy = Strategy::kDecompressScan;
-  Column<uint32_t>& positions = out.selection.positions;
-  values.VisitPlain([&](const auto& col) {
-    using T = typename std::decay_t<decltype(col)>::value_type;
-    Column<T> kept;
-    ForEachMatch(col, pred, [&](uint64_t i, uint64_t v) {
-      positions.push_back(rows != nullptr ? (*rows)[i]
-                                          : static_cast<uint32_t>(i));
-      kept.push_back(static_cast<T>(v));
-    });
-    out.values = AnyColumn(std::move(kept));
-  });
-  return out;
-}
-
 /// What the queries of one batch share: the chunks two or more of them
 /// read, and for those the decoded buffers, the selections and the
 /// containment lattice over the batch's filter bands. Pool workers running
@@ -482,16 +460,11 @@ class SharedChunks {
     return !shared_.empty() && shared_.count(ChunkKey(column, chunk)) != 0;
   }
 
-  /// A shared filter chunk's selection, computed once per batch.
+  /// A shared filter chunk's selection, through the selection cache.
   Result<std::shared_ptr<const SelectionResult>> Select(
       uint64_t column, uint64_t chunk, const RangePredicate& pred) {
     evaluations_.fetch_add(1, std::memory_order_relaxed);
-    RECOMP_ASSIGN_OR_RETURN(std::shared_ptr<const CachedSelection> entry,
-                            EvalBand(column, chunk, pred));
-    // Aliases the cache entry: the selection lives as long as the entry.
-    const SelectionResult* selection = &entry->selection;
-    return std::shared_ptr<const SelectionResult>(std::move(entry),
-                                                  selection);
+    return EvalBand(column, chunk, pred);
   }
 
   /// A shared chunk's values, decoded once per version while the decoded
@@ -500,7 +473,6 @@ class SharedChunks {
                                                    uint64_t chunk) {
     return chunks_->GetOrCompute(bound_.version, ChunkKey(column, chunk), [&] {
       decodes_.fetch_add(1, std::memory_order_relaxed);
-      obs::ServiceMetrics::Get().chunks_decoded->Increment();
       return FusedDecompress(bound_.columns[column]->chunk(chunk).column);
     });
   }
@@ -514,7 +486,10 @@ class SharedChunks {
                            .subsumption_values_examined = values_examined_};
     if (!shared_.empty()) {
       const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
+      metrics.chunks_decoded->Add(batch.chunks_decoded);
       metrics.chunk_evaluations->Add(batch.chunk_evaluations);
+      metrics.selection_cache_hits->Add(batch.selection_cache_hits);
+      metrics.selection_cache_misses->Add(misses_);
       metrics.subsumed_evaluations->Add(batch.subsumed_evaluations);
       metrics.subsumption_values_examined->Add(
           batch.subsumption_values_examined);
@@ -525,9 +500,9 @@ class SharedChunks {
  private:
   /// Maps every band of the batch to its *narrowest strict container* on
   /// the same column (absent = a maximal band that must scan). Narrowest
-  /// wins because a tighter parent leaves fewer pairs to re-filter; chains
-  /// resolve recursively, so the widest band of a nest scans once and each
-  /// tier below it filters its parent's survivors.
+  /// wins because a tighter parent leaves fewer positions to re-filter;
+  /// chains resolve recursively, so the widest band of a nest scans once and
+  /// each tier below it filters its parent's survivors.
   void BuildLattice(const std::vector<Result<Plan>>& plans) {
     std::unordered_map<uint64_t, std::vector<RangePredicate>> bands;
     for (const Result<Plan>& plan : plans) {
@@ -560,50 +535,65 @@ class SharedChunks {
   }
 
   /// One band's selection over one shared chunk, computed once per batch
-  /// and kept across batches while the selection cache holds it: by
-  /// re-filtering its narrowest containing band's selection (itself found
-  /// the same way) when the lattice offers one, else by scanning the shared
-  /// decoded buffer. Entries carry the matched values so callers one tier
-  /// down can do the same.
-  Result<std::shared_ptr<const CachedSelection>> EvalBand(
+  /// and kept across batches while the selection cache holds it.
+  Result<std::shared_ptr<const SelectionResult>> EvalBand(
       uint64_t column, uint64_t chunk, const RangePredicate& pred) {
     const SelectionKey key{column, chunk, pred.lo, pred.hi};
     const auto compute = [&] { return ComputeBand(column, chunk, pred); };
     bool reused = false;
-    Result<std::shared_ptr<const CachedSelection>> entry =
+    Result<std::shared_ptr<const SelectionResult>> entry =
         selections_->GetOrCompute(bound_.version, key, compute, &reused);
     if (count_hits_) {
-      const obs::ServiceMetrics& metrics = obs::ServiceMetrics::Get();
-      if (reused) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        metrics.selection_cache_hits->Increment();
-      } else {
-        metrics.selection_cache_misses->Increment();
-      }
+      (reused ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
     }
     return entry;
   }
 
-  Result<CachedSelection> ComputeBand(uint64_t column, uint64_t chunk,
+  /// The lone chunk's filter (FilterCompressed). A shape without a pushdown
+  /// re-filters its narrowest containing band's selection (itself found the
+  /// same way) when the lattice offers one, else scans the shared decoded
+  /// buffer.
+  Result<SelectionResult> ComputeBand(uint64_t column, uint64_t chunk,
                                       const RangePredicate& pred) {
-    // Strict containment is acyclic, so the nested lookup never waits on a
-    // computation that waits on this one.
-    const auto parent =
-        parents_.find(SelectionKey{column, 0, pred.lo, pred.hi});
-    if (parent != parents_.end()) {
-      RECOMP_ASSIGN_OR_RETURN(
-          const std::shared_ptr<const CachedSelection> base,
-          EvalBand(column, chunk, parent->second));
-      subsumed_.fetch_add(1, std::memory_order_relaxed);
-      values_examined_.fetch_add(base->values.size(),
-                                 std::memory_order_relaxed);
-      return FilterSelection(base->values, &base->selection.positions, pred);
-    }
-    RECOMP_ASSIGN_OR_RETURN(const std::shared_ptr<const AnyColumn> values,
-                            Decoded(column, chunk));
-    CachedSelection entry = FilterSelection(*values, nullptr, pred);
-    entry.selection.stats.values_decoded = values->size();
-    return entry;
+    const CompressedChunk& compressed = bound_.columns[column]->chunk(chunk);
+    return FilterCompressed(
+        compressed.column, pred, [&](auto tag) -> Result<SelectionResult> {
+          using T = typename decltype(tag)::type;
+          const auto parent =
+              parents_.find(SelectionKey{column, 0, pred.lo, pred.hi});
+          if (parent == parents_.end()) {
+            RECOMP_ASSIGN_OR_RETURN(
+                const std::shared_ptr<const AnyColumn> values,
+                Decoded(column, chunk));
+            return detail::ScanValues(values->As<T>(), pred,
+                                      Strategy::kDecompressScan);
+          }
+          // Strict containment is acyclic, so the nested lookup never waits
+          // on a computation that waits on this one.
+          RECOMP_ASSIGN_OR_RETURN(
+              const std::shared_ptr<const SelectionResult> base,
+              EvalBand(column, chunk, parent->second));
+          const Column<uint32_t>& rows = base->positions;
+          subsumed_.fetch_add(1, std::memory_order_relaxed);
+          values_examined_.fetch_add(rows.size(), std::memory_order_relaxed);
+          // The container's rows come from the decoded buffer while the
+          // batch holds it, else by direct access. A shape with no direct
+          // path (DELTA-NS, PATCHED-NS) then decodes the chunk privately;
+          // no perfbench panel nests bands (dashboard's price bands all
+          // have one width).
+          const std::shared_ptr<const AnyColumn> decoded =
+              chunks_->Find(bound_.version, ChunkKey(column, chunk));
+          AnyColumn values(Column<T>(rows.size()));
+          RECOMP_RETURN_NOT_OK(ReadChunkRows(compressed.column, 0,
+                                             ChunkRun{chunk, 0, rows.size()},
+                                             rows.data(), decoded.get(),
+                                             &values)
+                                   .status());
+          SelectionResult nested = detail::ScanValues(
+              values.As<T>(), pred, Strategy::kDecompressScan);
+          for (uint32_t& k : nested.positions) k = rows[k];
+          return nested;
+        });
   }
 
   const Bound& bound_;
@@ -620,6 +610,7 @@ class SharedChunks {
   std::atomic<uint64_t> decodes_{0};
   std::atomic<uint64_t> evaluations_{0};
   std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> subsumed_{0};
   std::atomic<uint64_t> values_examined_{0};
 };
@@ -652,9 +643,10 @@ Result<GatherResult> Gather(const Bound& bound, uint64_t column,
     if (shared.Shared(column, runs[g].chunk)) {
       RECOMP_ASSIGN_OR_RETURN(decoded, shared.Decoded(column, runs[g].chunk));
     }
+    const CompressedChunk& chunk = chunked.chunk(runs[g].chunk);
     RECOMP_ASSIGN_OR_RETURN(
-        served[g], ReadChunkRows(chunked, runs[g], rows.data(),
-                                 decoded.get(), &gather.values));
+        served[g], ReadChunkRows(chunk.column, chunk.zone.row_begin, runs[g],
+                                 rows.data(), decoded.get(), &gather.values));
     return Status::OK();
   }));
   gather.stats.rows = rows.size();
@@ -666,9 +658,9 @@ Result<GatherResult> Gather(const Bound& bound, uint64_t column,
   return gather;
 }
 
-/// Executes one planned query: its filter chunks (pushdown, or the shared
-/// path for shared chunks) fan out over `ctx`, then selections stitch,
-/// columns gather and aggregates fold.
+/// Executes one planned query: its filter chunks (each through
+/// FilterCompressed, a shared one through the selection cache) fan out over
+/// `ctx`, then selections stitch, columns gather and aggregates fold.
 Result<ScanResult> RunQuery(const Bound& bound, const ScanSpec& spec,
                             const Plan& plan, const ExecContext& ctx,
                             SharedChunks& shared) {

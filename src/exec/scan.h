@@ -210,10 +210,11 @@ Result<ScanResult> Scan(const ChunkedCompressedColumn& column,
 /// True iff two scan results carry the same *outputs*: scanned/matched row
 /// counts, positions, projected values, and aggregate values. Execution
 /// stats (strategy counters, chunks pruned/decoded, gather paths) are
-/// deliberately excluded — a query served from a shared decoded buffer
-/// reports different stats than a solo pushdown scan while being required
-/// to produce identical outputs. This is the equality the service tests and
-/// bench_e18 assert.
+/// deliberately excluded — a shared chunk gathered from its decoded buffer
+/// reports decompress-scan where solo reports its point-access path, and a
+/// nested band's re-filter counts the container's rows it re-read where
+/// solo counts the chunk's values, while both must produce identical
+/// outputs. This is the equality the service tests and bench_e18 assert.
 bool ScanOutputsEqual(const ScanResult& a, const ScanResult& b);
 
 /// The canonical identity of a spec's *outputs*: two specs with the same

@@ -11,18 +11,20 @@
 //   * A chunk one query needs runs that query's pushdown strategy
 //     (SelectCompressed) and is gathered by point access, exactly as solo;
 //     it never reads or enters a retained cache.
-//   * A shared chunk is fused-decoded once into the DecodedChunkCache, and
-//     each band's selection over it is computed once and kept across
+//   * A shared filter chunk runs the lone chunk's filter (FilterCompressed)
+//     once per band, and keeps the band's chunk-local positions across
 //     batches in the SelectionVectorCache while the table version stands.
-//   * A band strictly inside another band of the batch on the same column
-//     evaluates a shared chunk by re-filtering the containing band's cached
-//     (position, value) pairs: a row passing the narrow band passed the
-//     wide one. Chains compose, and the cached values let the reuse span
-//     batches after the decoded chunks were evicted.
+//     Only a shape without a pushdown filters the chunk's decoded buffer,
+//     fused-decoded once into the DecodedChunkCache; shared gathers read it.
+//   * There, a band strictly inside another band of the batch on the same
+//     column re-filters the containing band's positions instead: a row
+//     passing the narrow band passed the wide one. It reads their rows
+//     through ReadChunkRows, from the decoded buffer while it is cached,
+//     else by direct access. Chains compose, also across batches.
 //
-// Outputs equal solo exec::Scan's (ScanOutputsEqual); a shared chunk's
-// stats report decompress-scan instead of its pushdown strategy. Results
-// are deterministic for any thread count.
+// Outputs equal solo exec::Scan's (ScanOutputsEqual), and a shared filter
+// chunk reports the strategy solo reports. Results are deterministic for
+// any thread count.
 
 #ifndef RECOMP_EXEC_SCAN_BATCH_H_
 #define RECOMP_EXEC_SCAN_BATCH_H_
@@ -64,22 +66,16 @@ struct SelectionKeyHash {
   }
 };
 
-/// One cached per-chunk selection: the matching chunk-local positions plus
-/// the values at them (index-aligned, in the column's type), on which any
-/// band nested inside this one evaluates. It stays valid while its table
-/// version stands: every append bumps the version, while sealing and
-/// recompression rewrite the representation only (store/table.h).
-struct CachedSelection {
-  SelectionResult selection;
-  AnyColumn values;
-};
-
-/// Selections cost one entry each.
+/// Cached per-chunk selections (SelectionResult: the matching chunk-local
+/// positions and how they were found) cost one entry each. An entry stays
+/// valid while its table version stands: every append bumps the version,
+/// while sealing and recompression rewrite the representation only
+/// (store/table.h).
 struct SelectionTraits {
   using Key = SelectionKey;
   using Hash = SelectionKeyHash;
-  using Value = CachedSelection;
-  static uint64_t Cost(const CachedSelection&) { return 1; }
+  using Value = SelectionResult;
+  static uint64_t Cost(const SelectionResult&) { return 1; }
   static CacheCounters Counters() {
     return {nullptr, nullptr,
             obs::ServiceMetrics::Get().selection_cache_invalidations};
@@ -104,20 +100,21 @@ using DecodedChunkCache = VersionedCache<DecodedChunkTraits>;
 
 /// Work accounting of one batch, over its shared chunks only:
 /// chunk_evaluations / chunks_decoded is how many filter evaluations each
-/// shared decode served. Pushdown evaluations show in each result's
+/// shared decode served. A chunk one query needs shows in that query's
 /// per-filter stats instead.
 struct BatchStats {
-  /// Chunks fused-decoded into shared buffers.
+  /// Chunks fused-decoded into shared buffers: shared filter chunks without
+  /// a pushdown, and shared gathered chunks.
   uint64_t chunks_decoded = 0;
-  /// Filter-chunk evaluations served by the shared path.
+  /// Filter-chunk evaluations of shared chunks.
   uint64_t chunk_evaluations = 0;
   /// Shared evaluations answered by a retained selection cache.
   uint64_t selection_cache_hits = 0;
-  /// Shared evaluations answered by re-filtering a containing band's
-  /// selection instead of scanning the chunk.
+  /// Shared evaluations of a shape without a pushdown answered by
+  /// re-filtering a containing band's selection instead of the chunk.
   uint64_t subsumed_evaluations = 0;
-  /// Cached (position, value) pairs those subsumed evaluations examined —
-  /// the work that replaced full-chunk scans.
+  /// Container positions those subsumed evaluations re-read: the work that
+  /// replaced full-chunk scans.
   uint64_t subsumption_values_examined = 0;
 };
 

@@ -82,9 +82,8 @@ struct KeySetPredicate {
 };
 
 /// The range-filter loop over plain values: calls emit(i, v) for every
-/// index whose value v lies inside `pred`, in index order. Selection's
-/// scans and the batch scan's shared-chunk and subsumption filters all
-/// run through it.
+/// index whose value v lies inside `pred`, in index order. Every scan of
+/// plain values runs through it, the batch scan's nested bands included.
 template <typename T, typename Emit>
 void ForEachMatch(const Column<T>& values, const RangePredicate& pred,
                   Emit&& emit) {
@@ -138,15 +137,24 @@ struct SelectionResult {
 Result<SelectionResult> SelectCompressed(const CompressedColumn& compressed,
                                          const RangePredicate& predicate);
 
-/// The per-shape filter behind SelectCompressed and SemiJoinCompressed
-/// (exec/join.h), for either predicate: a key set's `probes` count the
-/// membership tests it ran, and its DICT strategy is kDictProbe. Defined
-/// below so that each operator compiles its own predicate's filter: one
-/// translation unit holding both outgrows GCC's inlining budget, and its hot
-/// loops stop inlining push_back.
-template <typename Pred>
+/// FilterCompressed's default filter for a shape without a pushdown: decode
+/// the column, then scan its values.
+struct DecodeThenScan {};
+
+/// The per-shape filter behind SelectCompressed, SemiJoinCompressed
+/// (exec/join.h) and the scan batch's shared chunks, for either predicate: a
+/// key set's `probes` count the membership tests it ran, and its DICT
+/// strategy is kDictProbe. Runs, dictionaries, FOR segments and stored-plain
+/// data push down; any other shape runs `no_pushdown(tag)`, where
+/// decltype(tag)::type is the column's type, or decodes and scans for the
+/// DecodeThenScan default. Defined below so that each operator compiles its
+/// own predicate's filter: one translation unit holding both outgrows GCC's
+/// inlining budget, and its hot loops stop inlining push_back (which
+/// tools/check_filter_inlining.sh catches).
+template <typename Pred, typename NoPushdown = DecodeThenScan>
 Result<SelectionResult> FilterCompressed(const CompressedColumn& compressed,
-                                         Pred& predicate);
+                                         Pred& predicate,
+                                         NoPushdown no_pushdown = {});
 
 /// The per-chunk stats of one executed chunk of a chunked selection.
 struct ChunkSelectionStats {
@@ -306,9 +314,10 @@ Result<SelectionResult> SelectStepPruned(const EnvelopeView& view, uint64_t n,
 
 }  // namespace detail
 
-template <typename Pred>
+template <typename Pred, typename NoPushdown>
 Result<SelectionResult> FilterCompressed(const CompressedColumn& compressed,
-                                         Pred& predicate) {
+                                         Pred& predicate,
+                                         NoPushdown no_pushdown) {
   const CompressedNode& node = compressed.root();
   if (node.n >= (uint64_t{1} << 32)) {
     return Status::OutOfRange("selections support columns below 2^32 rows");
@@ -334,10 +343,14 @@ Result<SelectionResult> FilterCompressed(const CompressedColumn& compressed,
           return detail::ScanValues(view.stored_plain->As<T>(), predicate,
                                     Strategy::kPlainScan);
         }
-        RECOMP_ASSIGN_OR_RETURN(const AnyColumn column,
-                                FusedDecompressNode(node));
-        return detail::ScanValues(column.As<T>(), predicate,
-                                  Strategy::kDecompressScan);
+        if constexpr (std::is_same_v<NoPushdown, DecodeThenScan>) {
+          RECOMP_ASSIGN_OR_RETURN(const AnyColumn column,
+                                  FusedDecompressNode(node));
+          return detail::ScanValues(column.As<T>(), predicate,
+                                    Strategy::kDecompressScan);
+        } else {
+          return no_pushdown(tag);
+        }
       });
 }
 

@@ -8,10 +8,12 @@
 // The headline derived quantity is the *sharing ratio*:
 //   service.chunk_evaluations / service.chunks_decoded
 // — how many filter-chunk evaluations each shared decode served. Both
-// count shared chunks only: a chunk one query needs runs its pushdown
-// strategy and shows in scan.strategy.* instead, so a lone query moves
-// neither, and a batch of N queries on the same chunks drives the ratio
-// toward N. bench_e18 reads both counters from a registry snapshot.
+// count shared chunks only: a chunk one query needs shows in
+// scan.strategy.* instead, so a lone query moves neither, and a batch of N
+// queries on the same chunks drives the ratio toward N. A shared chunk
+// decodes only for a shape without a pushdown or for a gather. The batch
+// scan adds its counts here when a batch ends; bench_e18 reads both
+// counters from a registry snapshot.
 
 #ifndef RECOMP_OBS_SERVICE_METRICS_H_
 #define RECOMP_OBS_SERVICE_METRICS_H_
@@ -61,7 +63,7 @@ struct ServiceMetrics {
 
   // Predicate subsumption.
   Counter* subsumed_evaluations;          ///< Evals served from a container.
-  Counter* subsumption_values_examined;   ///< Pairs re-filtered doing so.
+  Counter* subsumption_values_examined;   ///< Its positions re-read doing so.
 
   // Latency (nanoseconds).
   Histogram* queue_wait_ns;  ///< Submit → batch pickup.

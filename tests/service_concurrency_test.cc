@@ -249,23 +249,15 @@ TEST(ServiceConcurrencyTest, FuzzBatchedMatchesSoloAcrossPoolsAndWindows) {
   }
 }
 
-TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
-  constexpr uint64_t kRows = 8 * kChunk;
-  ThreadPool build_pool(2);
-  auto table = Table::Create({{"k", TypeId::kUInt32, {kChunk}, ""},
-                              {"v", TypeId::kUInt32, {kChunk}, ""}},
-                             ExecContext{&build_pool, 1});
-  ASSERT_OK(table.status());
-  const Column<uint32_t> k =
-      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1401);
-  const Column<uint32_t> v =
-      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1402);
-  const std::map<std::string, const Column<uint32_t>*> plain{{"k", &k},
-                                                             {"v", &v}};
-  ASSERT_OK(table->AppendBatch({AnyColumn(k), AnyColumn(v)}));
-  ASSERT_OK(table->Seal());
-  ASSERT_OK(table->Flush());
-  auto snap = table->Snapshot();
+/// Fuzzes a workload that deliberately repeats itself and nests its bands
+/// over `table`, drawing fresh specs from `fresh`: pools of 0, 2 and 4
+/// workers, each workload run cold under three cache budgets and warm under
+/// the defaults. Every answer must equal solo exec::Scan's and the
+/// oracle's over `plain`.
+void FuzzDuplicatesAndNestedBands(
+    Table& table, const std::map<std::string, const Column<uint32_t>*>& plain,
+    uint64_t seed, ScanSpec (*fresh)(Rng&)) {
+  auto snap = table.Snapshot();
   ASSERT_OK(snap.status());
 
   // The cold pass runs at both edges of the three cache budgets, set
@@ -290,7 +282,6 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
       {"budgets=default", ServiceOptions{}, true},
   };
 
-  uint64_t seed = 1403;
   for (const uint64_t threads : {uint64_t{0}, uint64_t{2}, uint64_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     std::unique_ptr<ThreadPool> pool;
@@ -322,10 +313,10 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
           nested.Filter(base.filters()[0].column, inner).Project({"v"});
           specs.push_back(nested);
         } else {
-          specs.push_back(FuzzSpec(rng));
+          specs.push_back(fresh(rng));
         }
       } else {
-        specs.push_back(FuzzSpec(rng));
+        specs.push_back(fresh(rng));
       }
     }
 
@@ -333,7 +324,7 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
       SCOPED_TRACE(leg.name);
       ServiceOptions options = leg.options;
       options.batch_window = std::chrono::microseconds(2000);
-      auto service = QueryService::Create(&*table, options, ctx);
+      auto service = QueryService::Create(&table, options, ctx);
       ASSERT_OK(service.status());
       QueryService& svc = **service;
 
@@ -366,6 +357,162 @@ TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
       }
       svc.Stop();
     }
+  }
+}
+
+TEST(ServiceConcurrencyTest, FuzzDuplicatesAndNestedBandsMatchSolo) {
+  constexpr uint64_t kRows = 8 * kChunk;
+  ThreadPool build_pool(2);
+  auto table = Table::Create({{"k", TypeId::kUInt32, {kChunk}, ""},
+                              {"v", TypeId::kUInt32, {kChunk}, ""}},
+                             ExecContext{&build_pool, 1});
+  ASSERT_OK(table.status());
+  const Column<uint32_t> k =
+      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1401);
+  const Column<uint32_t> v =
+      testutil::UniformColumn<uint32_t>(kRows, kValueBound, 1402);
+  const std::map<std::string, const Column<uint32_t>*> plain{{"k", &k},
+                                                             {"v", &v}};
+  ASSERT_OK(table->AppendBatch({AnyColumn(k), AnyColumn(v)}));
+  ASSERT_OK(table->Seal());
+  ASSERT_OK(table->Flush());
+  FuzzDuplicatesAndNestedBands(*table, plain, 1403, FuzzSpec);
+}
+
+/// A pseudo-random spec over the shapes table of
+/// FuzzEveryPathOfASharedChunkMatchesSolo: a band on one of its pinned
+/// filter columns, alone or with a projection, a second filter and an
+/// aggregate, or a limit.
+ScanSpec ShapeSpec(Rng& rng) {
+  static const char* const kFilterColumns[] = {"rle", "dict", "for",
+                                                "delta", "ns"};
+  const char* column = kFilterColumns[rng.Below(5)];
+  const uint64_t lo = rng.Below(kValueBound);
+  const uint64_t hi = lo + rng.Below(kValueBound / 3);
+  ScanSpec spec;
+  spec.Filter(column, {lo, hi});
+  switch (rng.Below(4)) {
+    case 0:
+      break;
+    case 1:
+      spec.Project({"v", column});
+      break;
+    case 2:
+      spec.Filter(kFilterColumns[rng.Below(5)], {0, kValueBound / 2})
+          .Aggregate("v", AggregateOp::kSum);
+      break;
+    default:
+      spec.Project({"v"}).Limit(1 + rng.Below(300));
+      break;
+  }
+  return spec;
+}
+
+TEST(ServiceConcurrencyTest, FuzzEveryPathOfASharedChunkMatchesSolo) {
+  // A shared filter chunk runs its pushdown (runs, dictionary, FOR
+  // segments, the stored-plain tail) or, without one, filters the shared
+  // decoded buffer or re-reads a containing band's rows (NS by direct
+  // access, DELTA-NS by decoding privately when the buffer is gone). Every
+  // filter column is pinned to one of those shapes, and the last rows stay
+  // in the unsealed tail.
+  constexpr uint64_t kSealed = 8 * kChunk;
+  constexpr uint64_t kRows = kSealed + 300;
+  ThreadPool build_pool(2);
+  store::IngestOptions ingest;
+  ingest.chunk_rows = kChunk;
+  auto table = Table::Create({{"rle", TypeId::kUInt32, ingest, "RLE-NS"},
+                              {"dict", TypeId::kUInt32, ingest, "DICT-NS"},
+                              {"for", TypeId::kUInt32, ingest, "FOR"},
+                              {"delta", TypeId::kUInt32, ingest, "DELTA-NS"},
+                              {"ns", TypeId::kUInt32, ingest, "NS"},
+                              {"v", TypeId::kUInt32, ingest, ""}},
+                             ExecContext{&build_pool, 1});
+  ASSERT_OK(table.status());
+  Rng rng(1601);
+  const Column<uint32_t> dictionary =
+      testutil::UniformColumn<uint32_t>(64, kValueBound, 1602);
+  std::vector<Column<uint32_t>> columns(6);
+  uint64_t level = 0;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    // Runs of 16 rows on average; a 64-entry dictionary; 128-row levels
+    // with a 12-bit spread for FOR; uniform values for the rest.
+    const bool run_starts = i == 0 || rng.Below(16) == 0;
+    columns[0].push_back(run_starts
+                             ? static_cast<uint32_t>(rng.Below(kValueBound))
+                             : columns[0].back());
+    columns[1].push_back(dictionary[rng.Below(dictionary.size())]);
+    if (i % 128 == 0) level = rng.Below(kValueBound - 4096);
+    columns[2].push_back(static_cast<uint32_t>(level + rng.Below(4096)));
+    for (size_t c = 3; c < columns.size(); ++c) {
+      columns[c].push_back(static_cast<uint32_t>(rng.Below(kValueBound)));
+    }
+  }
+  const char* const names[] = {"rle", "dict", "for", "delta", "ns", "v"};
+  std::map<std::string, const Column<uint32_t>*> plain;
+  std::vector<AnyColumn> sealed;
+  std::vector<AnyColumn> tail;
+  for (size_t c = 0; c < columns.size(); ++c) {
+    plain[names[c]] = &columns[c];
+    sealed.emplace_back(Column<uint32_t>(columns[c].begin(),
+                                         columns[c].begin() + kSealed));
+    tail.emplace_back(
+        Column<uint32_t>(columns[c].begin() + kSealed, columns[c].end()));
+  }
+  ASSERT_OK(table->AppendBatch(sealed));
+  ASSERT_OK(table->Flush());
+  ASSERT_OK(table->AppendBatch(tail));  // Stays unsealed: stored-plain.
+  FuzzDuplicatesAndNestedBands(*table, plain, 1603, ShapeSpec);
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+
+  // Selections outlive their window, decoded chunks and results do not. A
+  // band runs twice in one window, which shares its chunks and caches its
+  // selections; the next window runs it beside a band strictly inside it,
+  // which re-reads the container's rows without a resident buffer: by
+  // direct access, or by decoding a DELTA-NS chunk privately.
+  ServiceOptions options;
+  options.batch_window = std::chrono::microseconds(600 * 1000 * 1000);
+  options.max_batch_queries = 2;
+  options.decoded_cache_bytes = 0;
+  options.result_cache_bytes = 0;
+  for (const uint64_t threads : {uint64_t{0}, uint64_t{2}, uint64_t{4}}) {
+    SCOPED_TRACE("containers first, threads=" + std::to_string(threads));
+    std::unique_ptr<ThreadPool> pool;
+    ExecContext ctx;
+    if (threads > 0) {
+      pool = std::make_unique<ThreadPool>(threads);
+      ctx = ExecContext{pool.get(), 1};
+    }
+    auto service = QueryService::Create(&*table, options, ctx);
+    ASSERT_OK(service.status());
+    QueryService& svc = **service;
+    const uint64_t client = svc.RegisterClient();
+    for (const char* column : {"rle", "dict", "for", "delta", "ns"}) {
+      const uint64_t lo = rng.Below(kValueBound / 2);
+      const uint64_t hi = lo + kValueBound / 4 + rng.Below(kValueBound / 4);
+      ScanSpec outer;
+      outer.Filter(column, {lo, hi});
+      ScanSpec projected = outer;
+      projected.Project({"v"});
+      ScanSpec inner;
+      inner.Filter(column, {lo + 1 + rng.Below(kValueBound / 16),
+                            hi - rng.Below(kValueBound / 16)});
+      for (const std::vector<ScanSpec>& window :
+           {std::vector<ScanSpec>{outer, projected},
+            std::vector<ScanSpec>{projected, inner}}) {
+        std::vector<QueryService::ResultFuture> futures;
+        for (const ScanSpec& spec : window) {
+          auto future = svc.Submit(client, spec);
+          ASSERT_OK(future.status());
+          futures.push_back(std::move(*future));
+        }
+        for (size_t q = 0; q < window.size(); ++q) {
+          ExpectMatchesSoloAndOracle(futures[q].get(), *snap, plain,
+                                     window[q], q);
+        }
+      }
+    }
+    svc.Stop();
   }
 }
 

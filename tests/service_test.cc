@@ -283,17 +283,15 @@ TEST(ServiceTest, PerQueryErrorsFailOnlyTheirSlotAndNameTheColumn) {
 
 TEST(ServiceTest, SelectionCacheHitsAcrossQueriesAndInvalidatesOnVersion) {
   SelectionVectorCache cache(/*capacity=*/8);
-  exec::CachedSelection entry;
-  entry.selection.positions = {1, 5, 9};
-  entry.values = Column<uint32_t>{11, 15, 19};
+  exec::SelectionResult entry;
+  entry.positions = {1, 5, 9};
   const SelectionKey key{0, 2, 10, 20};
 
   EXPECT_EQ(cache.Find(1, key), nullptr);
   cache.Insert(1, key, entry);
   const SelectionVectorCache::Handle out = cache.Find(1, key);
   ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->selection.positions, entry.selection.positions);
-  EXPECT_EQ(out->values.As<uint32_t>(), entry.values.As<uint32_t>());
+  EXPECT_EQ(out->positions, entry.positions);
   EXPECT_EQ(cache.size(), 1u);
 
   // A newer version purges everything; the old entry is gone even when the
@@ -575,6 +573,108 @@ TEST(ServiceTest, QueriesOnTheSameChunksDecodeEachOnceAndSubsume) {
   // one's selection instead of scanning.
   EXPECT_EQ(stats.chunk_evaluations, 2 * chunks);
   EXPECT_EQ(stats.subsumed_evaluations, chunks);
+}
+
+TEST(ServiceTest, SharedChunksRunTheirPushdownStrategies) {
+  // "k" is pinned to RLE-NS and cycles through 0..63 in runs of 16 rows, so
+  // every chunk's zone map is [0, 63] and both bands below overlap every
+  // chunk without containing it: the two queries share every chunk of "k".
+  Column<uint32_t> k(8 * kChunk);
+  for (uint32_t i = 0; i < k.size(); ++i) k[i] = (i / 16) % 64;
+  store::IngestOptions ingest;
+  ingest.chunk_rows = kChunk;
+  auto table = Table::Create({{"k", TypeId::kUInt32, ingest, "RLE-NS"},
+                              {"v", TypeId::kUInt32, ingest, ""}});
+  ASSERT_OK(table.status());
+  ASSERT_OK(table->AppendBatch(
+      {AnyColumn(k), AnyColumn(testutil::UniformColumn<uint32_t>(
+                         k.size(), kValueBound, 920))}));
+  ASSERT_OK(table->Flush());
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  const uint64_t chunks = snap->column(0).chunked().num_chunks();
+  ASSERT_EQ(chunks, 8u);
+  // Without the result cache both queries of each window execute, and the
+  // second window can only reuse the first one's selections.
+  ServiceOptions options = WindowOf(2);
+  options.result_cache_bytes = 0;
+  auto service = QueryService::Create(&*table, options);
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  ScanSpec low;
+  low.Filter("k", {10, 40});
+  ScanSpec high;
+  high.Filter("k", {20, 50});
+  const std::vector<ScanSpec> specs{low, high};
+  for (int window = 0; window < 2; ++window) {
+    const auto results = RunAll(svc, specs);
+    for (size_t q = 0; q < specs.size(); ++q) {
+      SCOPED_TRACE(testing::Message()
+                   << "window " << window << " query " << q);
+      ASSERT_OK(results[q].status());
+      auto solo = exec::Scan(*snap, specs[q]);
+      ASSERT_OK(solo.status());
+      EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo));
+      ExpectSoloExecution(*results[q], *solo);
+      const int runs = static_cast<int>(exec::Strategy::kRleRuns);
+      EXPECT_EQ((*results[q])->filters[0].stats.strategy_chunks[runs],
+                chunks);
+    }
+    const service::ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.batches, window + 1u);
+    EXPECT_EQ(stats.chunk_evaluations, (window + 1) * 2 * chunks);
+    // Filter-only specs over pushdown chunks decode nothing.
+    EXPECT_EQ(stats.chunks_decoded, 0u);
+    // The second window finds every band's selection cached.
+    EXPECT_EQ(stats.selection_cache_hits, window * 2 * chunks);
+  }
+}
+
+TEST(ServiceTest, NestedBandReadsItsContainerWithoutItsDecodedChunk) {
+  auto table = MakeTable(8 * kChunk, 921);
+  ASSERT_OK(table.status());
+  auto snap = table->Snapshot();
+  ASSERT_OK(snap.status());
+  const uint64_t chunks = snap->column(0).chunked().num_chunks();
+  ASSERT_EQ(chunks, 8u);
+  // No decoded chunk outlives its window, and no answer is reused.
+  ServiceOptions options = WindowOf(2);
+  options.decoded_cache_bytes = 0;
+  options.result_cache_bytes = 0;
+  auto service = QueryService::Create(&*table, options);
+  ASSERT_OK(service.status());
+  QueryService& svc = **service;
+
+  // Mid-range bands on uniform values: no chunk is pruned or contained.
+  ScanSpec wide;
+  wide.Filter("k", {1000, kValueBound / 2});
+  ScanSpec narrow;
+  narrow.Filter("k", {2000, kValueBound / 4});
+  const auto expect_solo = [&](const std::vector<ScanSpec>& specs) {
+    const auto results = RunAll(svc, specs);
+    for (size_t q = 0; q < specs.size(); ++q) {
+      ASSERT_OK(results[q].status()) << "query " << q;
+      auto solo = exec::Scan(*snap, specs[q]);
+      ASSERT_OK(solo.status());
+      EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo)) << "query " << q;
+    }
+  };
+
+  // Window 1: the wide band twice shares and decodes every chunk of "k".
+  expect_solo({wide, wide});
+  const service::ServiceStats first = svc.stats();
+  EXPECT_EQ(first.chunks_decoded, chunks);
+  EXPECT_EQ(first.subsumed_evaluations, 0u);
+
+  // Window 2: the wide band's selections come from the selection cache, and
+  // the narrow band re-reads the wide band's rows through the chunks'
+  // direct access path, their decoded buffers being gone.
+  expect_solo({wide, narrow});
+  const service::ServiceStats second = svc.stats();
+  EXPECT_EQ(second.batches, 2u);
+  EXPECT_EQ(second.subsumed_evaluations, chunks);
+  EXPECT_EQ(second.chunks_decoded, first.chunks_decoded);
 }
 
 TEST(ServiceTest, DeadlinePastTheClockRangeMeansNoDeadline) {
