@@ -14,11 +14,11 @@
 // Scalar and AVX2 dispatch are asserted bit-identical in-bench before any
 // timing, and the gated shapes must decode at >= 2x the seed's bytes/cycle
 // whenever AVX2 is live. A second table times the other direction,
-// ops::Pack of u32 values (what sealing an NS chunk runs; u64 has no pack
-// kernel), scalar against AVX2 in GB/s of input per width; it exits 1 when
-// the two payloads differ or one does not unpack to its input. Run with
-// --json[=PATH] to dump shape -> bytes/cycle and pack.u32.w<width>[.scalar]
-// -> GB/s (BENCH_A2.json by default).
+// ops::Pack of u32 values (what sealing an NS chunk runs; the AVX2 kernels
+// are u32-only), scalar against AVX2 in GB/s of input per width; it exits 1
+// when the two payloads differ or one does not unpack to its input. Run
+// with --json[=PATH] to dump shape -> bytes/cycle and
+// pack.u32.w<width>[.scalar] -> GB/s (BENCH_A2.json by default).
 
 #include <chrono>
 #include <cstring>
@@ -161,7 +161,9 @@ std::vector<ShapeCase>& Shapes() {
     s->push_back(MakeCase("RLE-NS",
                           AnyColumn(gen::SortedRuns(kValues, 64.0, 3, 6)),
                           MakeRleNs(), /*gated=*/false));
-    // u64 via the same delta cascade: small sorted steps, wide values.
+    // u64 via the same delta cascade: small sorted steps, wide values. The
+    // AVX2 kernels are u32-only, so this row decodes on the scalar path under
+    // either dispatch; it is not gated.
     {
       Column<uint64_t> steps = gen::Uniform64(kValues, 8, 7);
       uint64_t acc = uint64_t{1} << 40;

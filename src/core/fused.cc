@@ -15,11 +15,12 @@ namespace recomp {
 
 namespace {
 
-/// Decode counters by FusedShape × dispatch path, resolved once: a fused
+/// Decode counters by FusedShape × kernel path, resolved once: a fused
 /// decode costs two sharded relaxed adds, nothing more. The counters exist
 /// even before the first decode (GetCounter creates on lookup), so a
-/// snapshot showing `fused.decode.ns.avx2 == 0` while scalar counts grow is
-/// the PR-7 dead-kernel regression, now visible instead of silent.
+/// snapshot of a u32 workload showing `fused.decode.ns.avx2 == 0` while
+/// scalar counts grow shows a build that lost its vector kernels, visibly
+/// instead of silently.
 struct DecodeCounters {
   obs::Counter* count[kNumFusedShapes][2];
   obs::Counter* bytes[kNumFusedShapes][2];
@@ -47,15 +48,17 @@ struct DecodeCounters {
   }
 };
 
-/// Counts one successful node decode under the dispatch mode that served it.
+/// Counts one successful node decode under the kernels that served it: the
+/// AVX2 kernels decode u32 columns only.
 void CountDecode(FusedShape shape, const CompressedNode& node) {
   const DecodeCounters& counters = DecodeCounters::Get();
-  const int path = ops::HasAvx2() ? 1 : 0;
+  const bool avx2 = ops::HasAvx2();
+  const int path = avx2 && node.out_type == TypeId::kUInt32 ? 1 : 0;
   const int s = static_cast<int>(shape);
   counters.count[s][path]->Increment();
   counters.bytes[s][path]->Add(
       node.n * static_cast<uint64_t>(TypeIdByteWidth(node.out_type)));
-  counters.avx2_live->Set(path);
+  counters.avx2_live->Set(avx2 ? 1 : 0);
 }
 
 }  // namespace
@@ -105,21 +108,15 @@ template <typename T>
 Result<Column<T>> ForReconstruct(const PackedColumn& packed,
                                  const Column<T>& refs, uint64_t ell,
                                  uint64_t n) {
-  if constexpr (std::is_same_v<T, uint32_t> || std::is_same_v<T, uint64_t>) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
     if (ops::HasAvx2()) {
       Column<T> out(n);
       for (uint64_t seg = 0; seg < refs.size(); ++seg) {
         const uint64_t begin = seg * ell;
         const uint64_t end = std::min<uint64_t>(begin + ell, n);
-        if constexpr (std::is_same_v<T, uint32_t>) {
-          ops::avx2::UnpackAddU32(packed.bytes.data(), packed.bytes.size(),
-                                  begin, end - begin, packed.bit_width,
-                                  refs[seg], out.data() + begin);
-        } else {
-          ops::avx2::UnpackAddU64(packed.bytes.data(), packed.bytes.size(),
-                                  begin, end - begin, packed.bit_width,
-                                  refs[seg], out.data() + begin);
-        }
+        ops::avx2::UnpackAddU32(packed.bytes.data(), packed.bytes.size(),
+                                begin, end - begin, packed.bit_width,
+                                refs[seg], out.data() + begin);
       }
       return out;
     }
@@ -149,14 +146,6 @@ Result<Column<T>> DeltaZigZagReconstruct(const PackedColumn& packed,
                                        packed.bit_width, out.data());
       return out;
     }
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (ops::HasAvx2()) {
-      Column<T> out(n);
-      ops::avx2::UnpackZigZagPrefixU64(packed.bytes.data(),
-                                       packed.bytes.size(), n,
-                                       packed.bit_width, out.data());
-      return out;
-    }
   }
   RECOMP_ASSIGN_OR_RETURN(Column<T> out, ops::Unpack<T>(packed));
   T acc{0};
@@ -174,11 +163,6 @@ void ZigZagPrefixInPlace(Column<T>* col) {
   if constexpr (std::is_same_v<T, uint32_t>) {
     if (ops::HasAvx2()) {
       ops::avx2::ZigZagPrefixInPlaceU32(col->data(), col->size());
-      return;
-    }
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (ops::HasAvx2()) {
-      ops::avx2::ZigZagPrefixInPlaceU64(col->data(), col->size());
       return;
     }
   }
@@ -217,9 +201,6 @@ void ScatterPatches(const PatchList<T>& patches, Column<T>* out) {
   const Column<T>& values = *patches.values;
   if constexpr (std::is_same_v<T, uint32_t>) {
     ops::avx2::ScatterU32(out->data(), positions.data(), values.data(),
-                          positions.size());
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    ops::avx2::ScatterU64(out->data(), positions.data(), values.data(),
                           positions.size());
   } else {
     for (uint64_t p = 0; p < positions.size(); ++p) {

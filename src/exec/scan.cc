@@ -577,12 +577,15 @@ class SharedChunks {
           subsumed_.fetch_add(1, std::memory_order_relaxed);
           values_examined_.fetch_add(rows.size(), std::memory_order_relaxed);
           // The container's rows come from the decoded buffer while the
-          // batch holds it, else by direct access. A shape with no direct
-          // path (DELTA-NS, PATCHED-NS) then decodes the chunk privately;
-          // no perfbench panel nests bands (dashboard's price bands all
-          // have one width).
-          const std::shared_ptr<const AnyColumn> decoded =
+          // batch holds it, else by NS direct access. No other shape without
+          // a pushdown has a direct path: it is decoded once per batch,
+          // counted and cached, however many nested bands read it.
+          std::shared_ptr<const AnyColumn> decoded =
               chunks_->Find(bound_.version, ChunkKey(column, chunk));
+          if (decoded == nullptr &&
+              ClassifyFusedShape(compressed.column.root()) != FusedShape::kNs) {
+            RECOMP_ASSIGN_OR_RETURN(decoded, Decoded(column, chunk));
+          }
           AnyColumn values(Column<T>(rows.size()));
           RECOMP_RETURN_NOT_OK(ReadChunkRows(compressed.column, 0,
                                              ChunkRun{chunk, 0, rows.size()},

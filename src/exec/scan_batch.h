@@ -20,7 +20,8 @@
 //     column re-filters the containing band's positions instead: a row
 //     passing the narrow band passed the wide one. It reads their rows
 //     through ReadChunkRows, from the decoded buffer while it is cached,
-//     else by direct access. Chains compose, also across batches.
+//     else by NS direct access; a shape with no direct path is decoded
+//     into the buffer, once per batch. Chains compose, also across batches.
 //
 // Outputs equal solo exec::Scan's (ScanOutputsEqual), and a shared filter
 // chunk reports the strategy solo reports. Results are deterministic for

@@ -10,10 +10,10 @@
 // starts at a computable byte with a sub-byte remainder of at most 7 bits.
 // Two overlapping 32-byte loads plus a dword permute put each lane's window
 // in place, and variable shifts extract the value — no gather, any width.
-// A lane's window is [32*d, 32*d+64) bits for u32 (d = in-window dword
-// index, sub-dword shift s <= 31, s + width <= 63 < 64) and three dwords
-// for u64 (s + width <= 31 + 64 < 96). Groups whose 36-byte load window
-// would cross the payload end fall back to scalar code.
+// A lane's window is [32*d, 32*d+64) bits (d = in-window dword index,
+// sub-dword shift s <= 31, s + width <= 63 < 64). Groups whose 36-byte load
+// window would cross the payload end fall back to scalar code. Every kernel
+// is u32; u64 columns decode through the callers' scalar code.
 
 #include "ops/kernels_avx2.h"
 
@@ -36,44 +36,39 @@ namespace {
 // build lacks AVX2).
 
 /// Unpacks elements [first, n) of the range starting at element `begin`.
-template <typename T>
+/// A value of at most 32 bits at a sub-byte shift of at most 7 lies inside
+/// the 8 bytes loaded.
 void UnpackScalar(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
-                  uint64_t first, uint64_t n, int width, T* out) {
+                  uint64_t first, uint64_t n, int width, uint32_t* out) {
   const uint64_t mask = bits::LowMask64(width);
   const uint64_t uwidth = static_cast<uint64_t>(width);
   for (uint64_t i = first; i < n; ++i) {
     const uint64_t bitpos = (begin + i) * uwidth;
     const uint64_t byte = bitpos >> 3;
     if (RECOMP_PREDICT_FALSE(byte >= in_bytes)) {
-      out[i] = T{0};
+      out[i] = 0;
       continue;
     }
-    const int shift = static_cast<int>(bitpos & 7);
     uint64_t v = 0;
     const uint64_t avail = in_bytes - byte;
     std::memcpy(&v, in + byte, avail >= 8 ? 8 : avail);
-    v >>= shift;
-    if (shift + width > 64) {
-      // The value straddles 9 bytes (only possible for width > 56).
-      v |= static_cast<uint64_t>(in[byte + 8]) << (64 - shift);
-    }
-    out[i] = static_cast<T>(v & mask);
+    out[i] = static_cast<uint32_t>((v >> (bitpos & 7)) & mask);
   }
 }
 
-template <typename T>
-void PrefixSumTail(const T* in, uint64_t first, uint64_t n, T acc, T* out) {
+void PrefixSumTail(const uint32_t* in, uint64_t first, uint64_t n,
+                   uint32_t acc, uint32_t* out) {
   for (uint64_t i = first; i < n; ++i) {
-    acc = static_cast<T>(acc + in[i]);
+    acc += in[i];
     out[i] = acc;
   }
 }
 
 /// In-place zigzag decode + inclusive prefix sum over [first, n).
-template <typename T>
-void ZigZagPrefixScalar(T* data, uint64_t first, uint64_t n, T acc) {
+void ZigZagPrefixScalar(uint32_t* data, uint64_t first, uint64_t n,
+                        uint32_t acc) {
   for (uint64_t i = first; i < n; ++i) {
-    acc = static_cast<T>(acc + static_cast<T>(zigzag::Decode(data[i])));
+    acc += static_cast<uint32_t>(zigzag::Decode(data[i]));
     data[i] = acc;
   }
 }
@@ -84,18 +79,6 @@ void ZigZagPrefixScalar(T* data, uint64_t first, uint64_t n, T acc) {
 // AVX-512); a 4x unroll keeps the stores independent.
 void ScatterU32(uint32_t* data, const uint32_t* positions,
                 const uint32_t* values, uint64_t count) {
-  uint64_t p = 0;
-  for (; p + 4 <= count; p += 4) {
-    data[positions[p]] = values[p];
-    data[positions[p + 1]] = values[p + 1];
-    data[positions[p + 2]] = values[p + 2];
-    data[positions[p + 3]] = values[p + 3];
-  }
-  for (; p < count; ++p) data[positions[p]] = values[p];
-}
-
-void ScatterU64(uint64_t* data, const uint32_t* positions,
-                const uint64_t* values, uint64_t count) {
   uint64_t p = 0;
   for (; p + 4 <= count; p += 4) {
     data[positions[p]] = values[p];
@@ -147,47 +130,6 @@ class UnpackerU32 {
 
  private:
   __m256i lane_bits_;
-  __m256i mask_;
-};
-
-/// Width-generic unpack of 4 u64 values per call. Each qword lane j needs
-/// stream dwords d_j, d_j+1, d_j+2 (s + width <= 95 bits); the pair permute
-/// [d_j, d_j+1] builds the low qword window and the overlapping load's
-/// permute shifted down by 32 zero-extends dword d_j+2 for the high half.
-class UnpackerU64 {
- public:
-  explicit UnpackerU64(int width)
-      : pair_bits_(_mm256_setr_epi32(0, 0, width, width, 2 * width, 2 * width,
-                                     3 * width, 3 * width)),
-        mask_(_mm256_set1_epi64x(
-            static_cast<long long>(bits::LowMask64(width)))) {}
-
-  __m256i Group(const uint8_t* in, uint64_t bit) const {
-    const uint64_t base = bit >> 3;
-    const __m256i rel = _mm256_add_epi32(
-        _mm256_set1_epi32(static_cast<int>(bit & 7)), pair_bits_);
-    const __m256i idx =
-        _mm256_add_epi32(_mm256_srli_epi32(rel, 5),
-                         _mm256_setr_epi32(0, 1, 0, 1, 0, 1, 0, 1));
-    // rel holds each lane's value twice; masking per-qword keeps the low
-    // copy as that lane's sub-dword shift.
-    const __m256i shift = _mm256_and_si256(rel, _mm256_set1_epi64x(31));
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + base));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + base + 4));
-    const __m256i lo = _mm256_permutevar8x32_epi32(v0, idx);
-    const __m256i hi =
-        _mm256_srli_epi64(_mm256_permutevar8x32_epi32(v1, idx), 32);
-    const __m256i val = _mm256_or_si256(
-        _mm256_srlv_epi64(lo, shift),
-        _mm256_sllv_epi64(hi,
-                          _mm256_sub_epi64(_mm256_set1_epi64x(64), shift)));
-    return _mm256_and_si256(val, mask_);
-  }
-
- private:
-  __m256i pair_bits_;
   __m256i mask_;
 };
 
@@ -312,15 +254,6 @@ inline __m256i PrefixSum8(__m256i x) {
   return _mm256_add_epi32(x, carry);
 }
 
-/// Inclusive prefix sum within one 4-lane u64 vector.
-inline __m256i PrefixSum4x64(__m256i x) {
-  x = _mm256_add_epi64(x, _mm256_slli_si256(x, 8));
-  const __m256i low_total =
-      _mm256_permute4x64_epi64(x, _MM_SHUFFLE(1, 1, 1, 1));
-  const __m256i carry = _mm256_permute2x128_si256(low_total, low_total, 0x08);
-  return _mm256_add_epi64(x, carry);
-}
-
 /// (v >> 1) ^ -(v & 1) per u32 lane.
 inline __m256i ZigZagDecode32(__m256i v) {
   const __m256i sign = _mm256_sub_epi32(
@@ -328,19 +261,8 @@ inline __m256i ZigZagDecode32(__m256i v) {
   return _mm256_xor_si256(_mm256_srli_epi32(v, 1), sign);
 }
 
-/// (v >> 1) ^ -(v & 1) per u64 lane.
-inline __m256i ZigZagDecode64(__m256i v) {
-  const __m256i sign = _mm256_sub_epi64(
-      _mm256_setzero_si256(), _mm256_and_si256(v, _mm256_set1_epi64x(1)));
-  return _mm256_xor_si256(_mm256_srli_epi64(v, 1), sign);
-}
-
 inline uint32_t Lane0U32(__m256i x) {
   return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm256_castsi256_si128(x)));
-}
-
-inline uint64_t Lane0U64(__m256i x) {
-  return static_cast<uint64_t>(_mm_cvtsi128_si64(_mm256_castsi256_si128(x)));
 }
 
 }  // namespace
@@ -357,26 +279,6 @@ void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
   const uint64_t uwidth = static_cast<uint64_t>(width);
   uint64_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const uint64_t bit = (begin + i) * uwidth;
-    if (RECOMP_PREDICT_FALSE((bit >> 3) + kGroupLoadReach > in_bytes)) break;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        unpacker.Group(in, bit));
-  }
-  UnpackScalar(in, in_bytes, begin, i, n, width, out);
-}
-
-void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
-               uint64_t n, int width, uint64_t* out) {
-  RECOMP_DCHECK(width >= 0 && width <= kMaxUnpackWidth64,
-                "AVX2 unpack width out of range");
-  if (width == 0) {
-    std::fill_n(out, n, uint64_t{0});  // out may be null when n == 0.
-    return;
-  }
-  const UnpackerU64 unpacker(width);
-  const uint64_t uwidth = static_cast<uint64_t>(width);
-  uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
     const uint64_t bit = (begin + i) * uwidth;
     if (RECOMP_PREDICT_FALSE((bit >> 3) + kGroupLoadReach > in_bytes)) break;
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
@@ -430,26 +332,6 @@ void UnpackAddU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
   for (; i < n; ++i) out[i] += addend;
 }
 
-void UnpackAddU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
-                  uint64_t n, int width, uint64_t addend, uint64_t* out) {
-  if (width == 0) {
-    for (uint64_t i = 0; i < n; ++i) out[i] = addend;
-    return;
-  }
-  const UnpackerU64 unpacker(width);
-  const __m256i a = _mm256_set1_epi64x(static_cast<long long>(addend));
-  const uint64_t uwidth = static_cast<uint64_t>(width);
-  uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t bit = (begin + i) * uwidth;
-    if (RECOMP_PREDICT_FALSE((bit >> 3) + kGroupLoadReach > in_bytes)) break;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(unpacker.Group(in, bit), a));
-  }
-  UnpackScalar(in, in_bytes, begin, i, n, width, out);
-  for (; i < n; ++i) out[i] += addend;
-}
-
 void UnpackZigZagPrefixU32(const uint8_t* in, uint64_t in_bytes, uint64_t n,
                            int width, uint32_t* out) {
   if (width == 0) {
@@ -472,28 +354,6 @@ void UnpackZigZagPrefixU32(const uint8_t* in, uint64_t in_bytes, uint64_t n,
   ZigZagPrefixScalar(out, i, n, Lane0U32(running));
 }
 
-void UnpackZigZagPrefixU64(const uint8_t* in, uint64_t in_bytes, uint64_t n,
-                           int width, uint64_t* out) {
-  if (width == 0) {
-    std::fill_n(out, n, uint64_t{0});  // out may be null when n == 0.
-    return;
-  }
-  const UnpackerU64 unpacker(width);
-  const uint64_t uwidth = static_cast<uint64_t>(width);
-  __m256i running = _mm256_setzero_si256();
-  uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint64_t bit = i * uwidth;
-    if (RECOMP_PREDICT_FALSE((bit >> 3) + kGroupLoadReach > in_bytes)) break;
-    const __m256i decoded = ZigZagDecode64(unpacker.Group(in, bit));
-    const __m256i sums = _mm256_add_epi64(PrefixSum4x64(decoded), running);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), sums);
-    running = _mm256_permute4x64_epi64(sums, 0xFF);
-  }
-  UnpackScalar(in, in_bytes, 0, i, n, width, out);
-  ZigZagPrefixScalar(out, i, n, Lane0U64(running));
-}
-
 void ZigZagPrefixInPlaceU32(uint32_t* data, uint64_t n) {
   __m256i running = _mm256_setzero_si256();
   uint64_t i = 0;
@@ -508,20 +368,6 @@ void ZigZagPrefixInPlaceU32(uint32_t* data, uint64_t n) {
   ZigZagPrefixScalar(data, i, n, Lane0U32(running));
 }
 
-void ZigZagPrefixInPlaceU64(uint64_t* data, uint64_t n) {
-  __m256i running = _mm256_setzero_si256();
-  uint64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    const __m256i sums =
-        _mm256_add_epi64(PrefixSum4x64(ZigZagDecode64(v)), running);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(data + i), sums);
-    running = _mm256_permute4x64_epi64(sums, 0xFF);
-  }
-  ZigZagPrefixScalar(data, i, n, Lane0U64(running));
-}
-
 void PrefixSumInclusiveU32(const uint32_t* in, uint64_t n, uint32_t* out) {
   uint64_t i = 0;
   __m256i running = _mm256_setzero_si256();
@@ -533,19 +379,6 @@ void PrefixSumInclusiveU32(const uint32_t* in, uint64_t n, uint32_t* out) {
     running = _mm256_permutevar8x32_epi32(x, _mm256_set1_epi32(7));
   }
   PrefixSumTail(in, i, n, Lane0U32(running), out);
-}
-
-void PrefixSumInclusiveU64(const uint64_t* in, uint64_t n, uint64_t* out) {
-  uint64_t i = 0;
-  __m256i running = _mm256_setzero_si256();
-  for (; i + 4 <= n; i += 4) {
-    __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    x = _mm256_add_epi64(PrefixSum4x64(x), running);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-    running = _mm256_permute4x64_epi64(x, 0xFF);
-  }
-  PrefixSumTail(in, i, n, Lane0U64(running), out);
 }
 
 void AddConstantU32(const uint32_t* in, uint64_t n, uint32_t addend,
@@ -586,19 +419,8 @@ void UnpackU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
   UnpackScalar(in, in_bytes, begin, 0, n, width, out);
 }
 
-void UnpackU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
-               uint64_t n, int width, uint64_t* out) {
-  UnpackScalar(in, in_bytes, begin, 0, n, width, out);
-}
-
 void UnpackAddU32(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
                   uint64_t n, int width, uint32_t addend, uint32_t* out) {
-  UnpackScalar(in, in_bytes, begin, 0, n, width, out);
-  for (uint64_t i = 0; i < n; ++i) out[i] += addend;
-}
-
-void UnpackAddU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
-                  uint64_t n, int width, uint64_t addend, uint64_t* out) {
   UnpackScalar(in, in_bytes, begin, 0, n, width, out);
   for (uint64_t i = 0; i < n; ++i) out[i] += addend;
 }
@@ -606,29 +428,15 @@ void UnpackAddU64(const uint8_t* in, uint64_t in_bytes, uint64_t begin,
 void UnpackZigZagPrefixU32(const uint8_t* in, uint64_t in_bytes, uint64_t n,
                            int width, uint32_t* out) {
   UnpackScalar(in, in_bytes, 0, 0, n, width, out);
-  ZigZagPrefixScalar(out, 0, n, uint32_t{0});
-}
-
-void UnpackZigZagPrefixU64(const uint8_t* in, uint64_t in_bytes, uint64_t n,
-                           int width, uint64_t* out) {
-  UnpackScalar(in, in_bytes, 0, 0, n, width, out);
-  ZigZagPrefixScalar(out, 0, n, uint64_t{0});
+  ZigZagPrefixScalar(out, 0, n, 0);
 }
 
 void ZigZagPrefixInPlaceU32(uint32_t* data, uint64_t n) {
-  ZigZagPrefixScalar(data, 0, n, uint32_t{0});
-}
-
-void ZigZagPrefixInPlaceU64(uint64_t* data, uint64_t n) {
-  ZigZagPrefixScalar(data, 0, n, uint64_t{0});
+  ZigZagPrefixScalar(data, 0, n, 0);
 }
 
 void PrefixSumInclusiveU32(const uint32_t* in, uint64_t n, uint32_t* out) {
-  PrefixSumTail(in, 0, n, uint32_t{0}, out);
-}
-
-void PrefixSumInclusiveU64(const uint64_t* in, uint64_t n, uint64_t* out) {
-  PrefixSumTail(in, 0, n, uint64_t{0}, out);
+  PrefixSumTail(in, 0, n, 0, out);
 }
 
 void AddConstantU32(const uint32_t* in, uint64_t n, uint32_t addend,

@@ -162,12 +162,6 @@ Result<Column<T>> Unpack(const PackedColumn& packed) {
                       packed.bit_width, out.data());
       return out;
     }
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (HasAvx2()) {
-      avx2::UnpackU64(packed.bytes.data(), packed.bytes.size(), 0, packed.n,
-                      packed.bit_width, out.data());
-      return out;
-    }
   }
   UnpackScalar(packed.bytes.data(), packed.bytes.size(), 0, packed.n,
                packed.bit_width, out.data());
@@ -209,12 +203,6 @@ Status UnpackRange(const PackedColumn& packed, uint64_t begin, uint64_t end,
   if constexpr (std::is_same_v<T, uint32_t>) {
     if (HasAvx2()) {
       avx2::UnpackU32(packed.bytes.data(), packed.bytes.size(), begin, count,
-                      packed.bit_width, out);
-      return Status::OK();
-    }
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (HasAvx2()) {
-      avx2::UnpackU64(packed.bytes.data(), packed.bytes.size(), begin, count,
                       packed.bit_width, out);
       return Status::OK();
     }

@@ -13,11 +13,6 @@ Column<T> PrefixSumInclusive(const Column<T>& in) {
       avx2::PrefixSumInclusiveU32(in.data(), in.size(), out.data());
       return out;
     }
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (HasAvx2() && !in.empty()) {
-      avx2::PrefixSumInclusiveU64(in.data(), in.size(), out.data());
-      return out;
-    }
   }
   T acc{0};
   for (uint64_t i = 0; i < in.size(); ++i) {

@@ -1,9 +1,10 @@
 // Fuzz-style agreement tests for the fused decode cascade (core/fused.h):
 // for every FusedShape with a dedicated kernel, across random widths,
-// lengths, and exception densities, FusedDecompress must agree bit for bit
-// with the per-scheme reference recursion under both dispatch paths
-// (ForceScalar on and off). Randomly damaged envelopes must behave
-// identically too: both decoders succeed with the same bytes, or both fail.
+// lengths, exception densities and, for the bit-packed shapes, both u32 and
+// u64 values, FusedDecompress must agree bit for bit with the per-scheme
+// reference recursion under both dispatch paths (ForceScalar on and off).
+// Randomly damaged envelopes must behave identically too: both decoders
+// succeed with the same bytes, or both fail.
 
 #include <gtest/gtest.h>
 
@@ -27,22 +28,23 @@ struct ShapeSpec {
   AnyColumn data;
 };
 
-Column<uint32_t> RandomMasked(Rng& rng, uint64_t n, int width) {
-  Column<uint32_t> col;
-  const uint32_t mask = bits::LowMask32(width);
+template <typename T = uint32_t>
+Column<T> RandomMasked(Rng& rng, uint64_t n, int width) {
+  Column<T> col;
+  const uint64_t mask = bits::LowMask64(width);
   for (uint64_t i = 0; i < n; ++i) {
-    col.push_back(static_cast<uint32_t>(rng.Next()) & mask);
+    col.push_back(static_cast<T>(rng.Next() & mask));
   }
   return col;
 }
 
 /// Mostly `base_width`-bit values with `density` of full-width outliers.
-Column<uint32_t> OutlierData(Rng& rng, uint64_t n, int base_width,
-                             double density) {
-  Column<uint32_t> col = RandomMasked(rng, n, base_width);
+template <typename T = uint32_t>
+Column<T> OutlierData(Rng& rng, uint64_t n, int base_width, double density) {
+  Column<T> col = RandomMasked<T>(rng, n, base_width);
   for (uint64_t i = 0; i < n; ++i) {
     if (rng.Below(1000) < static_cast<uint64_t>(density * 1000)) {
-      col[i] = static_cast<uint32_t>(rng.Next());
+      col[i] = static_cast<T>(rng.Next());
     }
   }
   return col;
@@ -109,6 +111,21 @@ std::vector<ShapeSpec> BuildSpecs(uint64_t seed) {
                    AnyColumn(RunData(rng, n, 40, width))});
   specs.push_back({"RLE-DELTA", FusedShape::kRleNs, MakeRleDelta(),
                    AnyColumn(RunData(rng, n, 40, width))});
+  // The patched and FOR shapes over u64: the AVX2 kernels are u32-only, so
+  // these pin the scalar code that decodes u64 under both dispatch modes.
+  const int width64 = static_cast<int>(rng.Below(65));
+  specs.push_back({"FOR-u64", FusedShape::kFor, MakeFor(ell),
+                   AnyColumn(RandomMasked<uint64_t>(rng, n, width64))});
+  specs.push_back({"PFOR-u64", FusedShape::kPfor, MakePfor(ell),
+                   AnyColumn(OutlierData<uint64_t>(rng, n, 38, density))});
+  specs.push_back({"PATCHED-NS-u64", FusedShape::kPatchedNs,
+                   Patched().With("base", Ns()),
+                   AnyColumn(OutlierData<uint64_t>(rng, n, 39, density))});
+  specs.push_back(
+      {"DELTA-ZZ-PATCHED-NS-u64", FusedShape::kDeltaZigZagPatchedNs,
+       Delta().With("deltas",
+                    ZigZag().With("recoded", Patched().With("base", Ns()))),
+       AnyColumn(OutlierData<uint64_t>(rng, n, 37, density))});
   return specs;
 }
 

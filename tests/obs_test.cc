@@ -322,8 +322,9 @@ TEST(ObsTraceTest, SpansOnOtherThreadsSkipTheProfile) {
 // ---------------------------------------------------------------------------
 
 // Regression test for "the build quietly lost its vector kernels": when
-// AVX2 is compiled in and the CPU supports it, a fused decode must count on
-// the avx2 side of the dispatch counters, not the scalar side.
+// AVX2 is compiled in and the CPU supports it, a fused decode of a u32
+// column must count on the avx2 side of the dispatch counters, not the
+// scalar side.
 TEST(ObsDispatchTest, Avx2PathCountsWhenAvailable) {
   if (std::getenv("RECOMP_FORCE_SCALAR") != nullptr) {
     GTEST_SKIP() << "RECOMP_FORCE_SCALAR is set: scalar dispatch is forced";
@@ -350,6 +351,22 @@ TEST(ObsDispatchTest, Avx2PathCountsWhenAvailable) {
                 before.counter("fused.decoded_bytes.ns.avx2"),
             4096u * sizeof(uint32_t));
   EXPECT_EQ(after.gauge("dispatch.avx2_live"), 1);
+
+  // The AVX2 kernels are u32-only: a u64 column decodes, and counts, on the
+  // scalar side while AVX2 dispatch stays live.
+  const auto wide = testutil::UniformColumn<uint64_t>(4096, 1ull << 40, 98);
+  const auto compressed64 = Compress(AnyColumn(wide), Ns());
+  ASSERT_TRUE(compressed64.ok()) << compressed64.status().ToString();
+  const MetricsSnapshot before64 = Registry::Get().Snapshot();
+  ASSERT_TRUE(FusedDecompress(*compressed64).ok());
+  const MetricsSnapshot after64 = Registry::Get().Snapshot();
+  EXPECT_EQ(after64.counter("fused.decode.ns.scalar") -
+                before64.counter("fused.decode.ns.scalar"),
+            1u);
+  EXPECT_EQ(after64.counter("fused.decode.ns.avx2") -
+                before64.counter("fused.decode.ns.avx2"),
+            0u);
+  EXPECT_EQ(after64.gauge("dispatch.avx2_live"), 1);
 }
 
 TEST(ObsDispatchTest, ForcedScalarCountsOnTheScalarSide) {

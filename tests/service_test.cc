@@ -632,49 +632,70 @@ TEST(ServiceTest, SharedChunksRunTheirPushdownStrategies) {
 }
 
 TEST(ServiceTest, NestedBandReadsItsContainerWithoutItsDecodedChunk) {
-  auto table = MakeTable(8 * kChunk, 921);
-  ASSERT_OK(table.status());
-  auto snap = table->Snapshot();
-  ASSERT_OK(snap.status());
-  const uint64_t chunks = snap->column(0).chunked().num_chunks();
-  ASSERT_EQ(chunks, 8u);
-  // No decoded chunk outlives its window, and no answer is reused.
-  ServiceOptions options = WindowOf(2);
-  options.decoded_cache_bytes = 0;
-  options.result_cache_bytes = 0;
-  auto service = QueryService::Create(&*table, options);
-  ASSERT_OK(service.status());
-  QueryService& svc = **service;
+  // "k" pinned to NS, which has a direct access path, and to DELTA-NS,
+  // which has none.
+  for (const bool direct : {true, false}) {
+    const char* scheme = direct ? "NS" : "DELTA-NS";
+    SCOPED_TRACE(scheme);
+    store::IngestOptions ingest;
+    ingest.chunk_rows = kChunk;
+    auto table = Table::Create({{"k", TypeId::kUInt32, ingest, scheme},
+                                {"v", TypeId::kUInt32, ingest, ""}});
+    ASSERT_OK(table.status());
+    ASSERT_OK(table->AppendBatch(
+        {AnyColumn(testutil::UniformColumn<uint32_t>(8 * kChunk, kValueBound,
+                                                     921)),
+         AnyColumn(testutil::UniformColumn<uint32_t>(8 * kChunk, kValueBound,
+                                                     922))}));
+    ASSERT_OK(table->Flush());
+    auto snap = table->Snapshot();
+    ASSERT_OK(snap.status());
+    const uint64_t chunks = snap->column(0).chunked().num_chunks();
+    ASSERT_EQ(chunks, 8u);
+    // No decoded chunk outlives its window, and no answer is reused.
+    ServiceOptions options = WindowOf(3);
+    options.decoded_cache_bytes = 0;
+    options.result_cache_bytes = 0;
+    auto service = QueryService::Create(&*table, options);
+    ASSERT_OK(service.status());
+    QueryService& svc = **service;
 
-  // Mid-range bands on uniform values: no chunk is pruned or contained.
-  ScanSpec wide;
-  wide.Filter("k", {1000, kValueBound / 2});
-  ScanSpec narrow;
-  narrow.Filter("k", {2000, kValueBound / 4});
-  const auto expect_solo = [&](const std::vector<ScanSpec>& specs) {
-    const auto results = RunAll(svc, specs);
-    for (size_t q = 0; q < specs.size(); ++q) {
-      ASSERT_OK(results[q].status()) << "query " << q;
-      auto solo = exec::Scan(*snap, specs[q]);
-      ASSERT_OK(solo.status());
-      EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo)) << "query " << q;
-    }
-  };
+    // Mid-range bands on uniform values: no chunk is pruned or contained.
+    // `low` and `high` sit strictly inside `wide`, not inside each other.
+    ScanSpec wide;
+    wide.Filter("k", {1000, kValueBound / 2});
+    ScanSpec low;
+    low.Filter("k", {2000, kValueBound / 4});
+    ScanSpec high;
+    high.Filter("k", {kValueBound / 4 + 1, kValueBound / 2 - 1000});
+    const auto expect_solo = [&](const std::vector<ScanSpec>& specs) {
+      const auto results = RunAll(svc, specs);
+      for (size_t q = 0; q < specs.size(); ++q) {
+        ASSERT_OK(results[q].status()) << "query " << q;
+        auto solo = exec::Scan(*snap, specs[q]);
+        ASSERT_OK(solo.status());
+        EXPECT_TRUE(ScanOutputsEqual(*results[q], *solo)) << "query " << q;
+      }
+    };
 
-  // Window 1: the wide band twice shares and decodes every chunk of "k".
-  expect_solo({wide, wide});
-  const service::ServiceStats first = svc.stats();
-  EXPECT_EQ(first.chunks_decoded, chunks);
-  EXPECT_EQ(first.subsumed_evaluations, 0u);
+    // Window 1: the wide band thrice shares and decodes every chunk of "k".
+    expect_solo({wide, wide, wide});
+    const service::ServiceStats first = svc.stats();
+    EXPECT_EQ(first.chunks_decoded, chunks);
+    EXPECT_EQ(first.subsumed_evaluations, 0u);
 
-  // Window 2: the wide band's selections come from the selection cache, and
-  // the narrow band re-reads the wide band's rows through the chunks'
-  // direct access path, their decoded buffers being gone.
-  expect_solo({wide, narrow});
-  const service::ServiceStats second = svc.stats();
-  EXPECT_EQ(second.batches, 2u);
-  EXPECT_EQ(second.subsumed_evaluations, chunks);
-  EXPECT_EQ(second.chunks_decoded, first.chunks_decoded);
+    // Window 2: the wide band's selections come from the selection cache,
+    // and both nested bands re-read the wide band's rows, the chunks'
+    // decoded buffers being gone. NS reads them by direct access and
+    // decodes nothing; DELTA-NS decodes each chunk again exactly once, and
+    // counts it, however many nested bands read it.
+    expect_solo({wide, low, high});
+    const service::ServiceStats second = svc.stats();
+    EXPECT_EQ(second.batches, 2u);
+    EXPECT_EQ(second.subsumed_evaluations, 2 * chunks);
+    EXPECT_EQ(second.chunks_decoded,
+              first.chunks_decoded + (direct ? 0 : chunks));
+  }
 }
 
 TEST(ServiceTest, DeadlinePastTheClockRangeMeansNoDeadline) {

@@ -1,7 +1,8 @@
 // Property tests pinning the AVX2 kernels to the scalar reference: for every
 // supported width and awkward length, both dispatch paths must agree bit for
 // bit. When the host lacks AVX2 these tests degenerate to scalar-vs-scalar
-// and still pass.
+// and still pass. The kernels are u32-only, so the u64 cases below pin the
+// scalar path that serves u64 under either dispatch mode.
 
 #include <gtest/gtest.h>
 
@@ -210,28 +211,6 @@ TEST(FusedKernelAgreement, UnpackAddMatchesUnpackPlusAdd) {
   }
 }
 
-TEST(FusedKernelAgreement, UnpackAddMatchesUnpackPlusAdd64) {
-  Rng rng(46);
-  for (int width : {0, 1, 7, 33, 51, 64}) {
-    const uint64_t mask = bits::LowMask64(width);
-    Column<uint64_t> col;
-    for (int i = 0; i < 1000; ++i) col.push_back(rng.Next() & mask);
-    auto packed = ops::Pack(col, width);
-    ASSERT_TRUE(packed.ok());
-    const uint64_t addend = rng.Next();
-    for (uint64_t begin : {0u, 3u, 17u, 999u}) {
-      const uint64_t n = col.size() - begin;
-      Column<uint64_t> out(n);
-      ops::avx2::UnpackAddU64(packed->bytes.data(), packed->bytes.size(),
-                              begin, n, width, addend, out.data());
-      for (uint64_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], col[begin + i] + addend)
-            << "width=" << width << " begin=" << begin << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(FusedKernelAgreement, UnpackZigZagPrefixDecodesDeltaCascade) {
   Rng rng(47);
   for (int width : {1, 4, 11, 23, 32}) {
@@ -263,60 +242,21 @@ TEST(FusedKernelAgreement, UnpackZigZagPrefixDecodesDeltaCascade) {
   }
 }
 
-TEST(FusedKernelAgreement, UnpackZigZagPrefixDecodesDeltaCascade64) {
-  Rng rng(48);
-  for (int width : {1, 9, 33, 47, 64}) {
-    Column<uint64_t> original;
-    Column<uint64_t> codes;
-    uint64_t prev = 0;
-    const uint64_t mask = bits::LowMask64(width);
-    for (int i = 0; i < 1000; ++i) {
-      // Any code below 2^width zigzag-decodes to a valid (wrapping) delta.
-      const uint64_t code = rng.Next() & mask;
-      codes.push_back(code);
-      const uint64_t delta =
-          static_cast<uint64_t>(zigzag::Decode<uint64_t>(code));
-      const uint64_t v = prev + delta;
-      original.push_back(v);
-      prev = v;
-    }
-    auto packed = ops::Pack(codes, width);
-    ASSERT_TRUE(packed.ok());
-    Column<uint64_t> out(original.size());
-    ops::avx2::UnpackZigZagPrefixU64(packed->bytes.data(),
-                                     packed->bytes.size(), out.size(), width,
-                                     out.data());
-    EXPECT_EQ(out, original) << "width=" << width;
-
-    Column<uint64_t> in_place = codes;
-    ops::avx2::ZigZagPrefixInPlaceU64(in_place.data(), in_place.size());
-    EXPECT_EQ(in_place, original) << "width=" << width;
-  }
-}
-
 TEST(FusedKernelAgreement, ScatterAppliesPatches) {
   Rng rng(49);
-  Column<uint32_t> data32(500, 7);
-  Column<uint64_t> data64(500, 9);
-  Column<uint32_t> expect32 = data32;
-  Column<uint64_t> expect64 = data64;
+  Column<uint32_t> data(500, 7);
+  Column<uint32_t> expect = data;
   Column<uint32_t> positions;
-  Column<uint32_t> values32;
-  Column<uint64_t> values64;
+  Column<uint32_t> values;
   for (int p = 0; p < 60; ++p) {
     const uint32_t pos = static_cast<uint32_t>(rng.Below(500));
     positions.push_back(pos);
-    values32.push_back(static_cast<uint32_t>(rng.Next()));
-    values64.push_back(rng.Next());
-    expect32[pos] = values32.back();
-    expect64[pos] = values64.back();
+    values.push_back(static_cast<uint32_t>(rng.Next()));
+    expect[pos] = values.back();
   }
-  ops::avx2::ScatterU32(data32.data(), positions.data(), values32.data(),
+  ops::avx2::ScatterU32(data.data(), positions.data(), values.data(),
                         positions.size());
-  ops::avx2::ScatterU64(data64.data(), positions.data(), values64.data(),
-                        positions.size());
-  EXPECT_EQ(data32, expect32);
-  EXPECT_EQ(data64, expect64);
+  EXPECT_EQ(data, expect);
 }
 
 TEST(PrefixSumAgreement, RandomLengths) {
